@@ -8,6 +8,7 @@ is cached on disk keyed by its config; all nine jobs share one build.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import os
 import pickle
@@ -17,10 +18,12 @@ sys.path.insert(0, os.path.dirname(__file__))  # allow jobs importing _common
 
 from pyspark.sql import SparkSession
 
+import repro
 from repro.bench.benchmark import Benchmark, build_benchmark
 from repro.config import BenchmarkConfig, tiny_benchmark_config
 
 CACHE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".bench_cache")
+SRC_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def get_spark() -> SparkSession:
@@ -51,7 +54,15 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _cfg_key(cfg: BenchmarkConfig) -> str:
-    return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
+    """Cache key: the config plus every ``src/repro`` source file, so a
+    change to the generator, DTW, the encoders or the head never reuses a
+    pickle built by older code."""
+    h = hashlib.sha256(repr(cfg).encode())
+    for path in sorted(glob.glob(os.path.join(SRC_DIR, "**", "*.py"), recursive=True)):
+        h.update(os.path.relpath(path, SRC_DIR).encode())
+        with open(path, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()[:16]
 
 
 def load_benchmark(

@@ -28,7 +28,7 @@ from repro.chartsim.renderer import render_chart
 from repro.chartsim.spec import ChartRecord, VisSpec, underlying_data
 from repro.config import BenchmarkConfig
 from repro.core.data import LakeTable
-from repro.core.relevance import rel_score
+from repro.core.relevance import rel_scores
 from repro.bench.plotly_lite import da_spec, gen_corpus, partial_spec
 
 
@@ -189,11 +189,10 @@ def compute_ground_truth(bench: Benchmark, *, spark=None) -> dict[str, list[str]
         from repro.lake.search import spark_ground_truth
 
         return spark_ground_truth(spark, bench)
+    tids = list(bench.repository)
+    rel = rel_scores([q.data for q in bench.queries], list(bench.repository.values()))
     out: dict[str, list[str]] = {}
-    for q in bench.queries:
-        scores = [
-            (tid, rel_score(q.data, t)) for tid, t in bench.repository.items()
-        ]
-        scores.sort(key=lambda x: (-x[1], x[0]))
+    for q, row in zip(bench.queries, rel):
+        scores = sorted(zip(tids, row), key=lambda x: (-x[1], x[0]))
         out[q.query_id] = [tid for tid, _ in scores[: bench.cfg.k]]
     return out

@@ -22,7 +22,7 @@ from repro.core.dataset_encoder import TableEncoding
 from repro.core.fcm import FCMModel
 from repro.core.line_encoder import QueryEncoding
 from repro.core.matcher import LogisticHead
-from repro.core.relevance import rel_score
+from repro.core.relevance import rel_scores
 
 STRATEGIES = ("random", "easy", "hard", "semihard")
 
@@ -90,21 +90,30 @@ def build_training_set(
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     order = rng.permutation(len(triplets))
-    for start in range(0, len(order), batch_size):
-        batch = [triplets[i] for i in order[start : start + batch_size]]
-        ids = [t.table_id for t in batch]
-        for t in batch:
+    batches = [order[s : s + batch_size] for s in range(0, len(order), batch_size)]
+    # Rel(D, T) of each triplet against its batch-mates' tables, for all
+    # batches in one call so the DTW kernel's stacks span the whole set
+    tids = sorted({t.table_id for t in triplets})
+    col = {tid: j for j, tid in enumerate(tids)}
+    mask = np.zeros((len(triplets), len(tids)), dtype=bool)
+    for batch in batches:
+        own = [col[triplets[i].table_id] for i in batch]
+        mask[np.ix_(batch, own)] = True
+        mask[batch, own] = False
+    rel = rel_scores(
+        [t.data for t in triplets], [tables[tid] for tid in tids],
+        max_len=rel_max_len, band=8, mask=mask,
+    )
+    for batch in batches:
+        ids = [triplets[i].table_id for i in batch]
+        for i in batch:
+            t = triplets[i]
             xs.append(model.features(t.query, table_encs[t.table_id]))
             ys.append(1.0)
-            cand = [i for i in ids if i != t.table_id]
+            cand = [c for c in ids if c != t.table_id]
             if not cand:
                 continue
-            rels = np.array(
-                [
-                    rel_score(t.data, tables[c], max_len=rel_max_len, band=8)
-                    for c in cand
-                ]
-            )
+            rels = rel[i, [col[c] for c in cand]]
             for idx in select_negatives(rels, n_neg, strategy, rng):
                 xs.append(model.features(t.query, table_encs[cand[idx]]))
                 ys.append(0.0)

@@ -9,6 +9,8 @@ tests.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -34,8 +36,13 @@ SCORES_SCHEMA = StructType(
 
 
 def spark_ground_truth(spark: SparkSession, bench) -> dict[str, list[str]]:
-    """Ground-truth Rel(D, T) top-k per query, distributed over tables."""
-    from repro.core.relevance import rel_score
+    """Ground-truth Rel(D, T) top-k per query, distributed over tables.
+
+    Each partition of the ``table_id``-partitioned repository is scored in
+    one :func:`rel_scores` call, all queries against all of its tables, so
+    the DTW kernel's stacks span the whole partition.
+    """
+    from repro.core.relevance import rel_scores
 
     payload = [(q.query_id, [np.asarray(d) for d in q.data]) for q in bench.queries]
     bc = spark.sparkContext.broadcast(payload)
@@ -43,20 +50,23 @@ def spark_ground_truth(spark: SparkSession, bench) -> dict[str, list[str]]:
         max(spark.sparkContext.defaultParallelism * 2, 8), "table_id"
     )
 
-    def score_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for table in iter_tables(pdf):
-            for qid, data in bc.value:
-                rows.append(
-                    {
-                        "query_id": qid,
-                        "table_id": table.table_id,
-                        "score": rel_score(data, table),
-                    }
-                )
-        return pd.DataFrame(rows, columns=["query_id", "table_id", "score"])
+    def score_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        # a table's columns may span Arrow batches, never partitions
+        pdfs = list(batches)
+        tables = list(iter_tables(pd.concat(pdfs))) if pdfs else []
+        if not tables:
+            return
+        qids = [qid for qid, _ in bc.value]
+        rel = rel_scores([data for _, data in bc.value], tables)
+        yield pd.DataFrame(
+            {
+                "query_id": np.repeat(qids, len(tables)),
+                "table_id": [t.table_id for t in tables] * len(qids),
+                "score": rel.ravel(),
+            }
+        )
 
-    scores = repo.groupBy("table_id").applyInPandas(score_group, schema=SCORES_SCHEMA)
+    scores = repo.mapInPandas(score_partition, schema=SCORES_SCHEMA)
     return ranked_topk(scores, bench.cfg.k)
 
 
@@ -113,9 +123,14 @@ def score_with_method(
 
 
 def topk_df(scores: DataFrame, k: int) -> DataFrame:
-    """Top-k rows per query by score (deterministic tie-break on id)."""
+    """Top-k rows per query by score (deterministic tie-break on id).
+
+    A NaN score ranks below every number: Spark orders NaN above +inf, so
+    ``desc("score")`` alone would put a NaN-scored table first for every
+    query.
+    """
     w = Window.partitionBy("query_id").orderBy(
-        F.desc("score"), F.asc("table_id")
+        F.isnan("score").asc(), F.desc("score"), F.asc("table_id")
     )
     return (
         scores.withColumn("rank", F.row_number().over(w))

@@ -1,10 +1,55 @@
-"""Tests for repro.core.dtw (banded DTW + resampling)."""
+"""Tests for repro.core.dtw (banded DTW + resampling).
+
+``dtw_reference`` is the scalar recurrence the stacked kernel replaced.
+It is kept here as the oracle: the kernel must agree with it bit for bit.
+"""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.core.dtw import dtw_distance, dtw_relevance, resample
+from repro.core.dtw import (
+    dtw_distance,
+    dtw_distances,
+    dtw_relevance,
+    fit_length,
+    resample,
+)
+
+
+def dtw_reference(a, b, *, band=None, max_len=128):
+    """One pair, one cell at a time, in Python floats (the oracle)."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.size == 0 or b.size == 0:
+        raise ValueError("DTW of an empty series is undefined")
+    if max_len is not None:
+        if a.size > max_len:
+            a = resample(a, max_len)
+        if b.size > max_len:
+            b = resample(b, max_len)
+    n, m = a.size, b.size
+    if band is not None:
+        band = max(band, abs(n - m))
+    prev = np.full(m + 1, np.inf)
+    prev[0] = 0.0
+    cur = np.empty(m + 1)
+    for i in range(1, n + 1):
+        cur[:] = np.inf
+        if band is None:
+            lo, hi = 1, m
+        else:
+            c = int(round(i * m / n))
+            lo, hi = max(1, c - band), min(m, c + band)
+        cost = np.abs(a[i - 1] - b[lo - 1 : hi])
+        base = np.minimum(prev[lo : hi + 1], prev[lo - 1 : hi])
+        run = np.inf
+        for idx in range(hi - lo + 1):
+            run = cost[idx] + min(base[idx], run)
+            cur[lo + idx] = run
+        prev, cur = cur, prev
+    return float(prev[m])
 
 
 class TestResample:
@@ -125,3 +170,89 @@ class TestDTWRelevance:
         near = np.full(10, 0.1)
         far = np.full(10, 5.0)
         assert dtw_relevance(a, near) > dtw_relevance(a, far)
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _stacks(draw, max_n=200):
+    """Same-shape (P, n) and (P, m) stacks, lengths 1..max_n, n != m allowed."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_n))
+    a = draw(hnp.arrays(np.float64, (p, n), elements=_FINITE))
+    b = draw(hnp.arrays(np.float64, (p, m), elements=_FINITE))
+    return a, b
+
+
+def _bands(a, b):
+    """None, 0, 1, 16 and one at least as wide as both series."""
+    return st.sampled_from([None, 0, 1, 16, max(a.shape[1], b.shape[1])])
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bit_identical(self, data):
+        a, b = data.draw(_stacks())
+        band = data.draw(_bands(a, b))
+        got = dtw_distances(a, b, band=band)
+        want = [dtw_reference(x, y, band=band, max_len=None) for x, y in zip(a, b)]
+        assert got.tolist() == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_bit_identical_with_resampling(self, data):
+        a, b = data.draw(_stacks())
+        band = data.draw(_bands(a, b))
+        max_len = data.draw(st.sampled_from([None, 1, 7, 64]))
+        for x, y in zip(a, b):
+            assert dtw_distance(x, y, band=band, max_len=max_len) == dtw_reference(
+                x, y, band=band, max_len=max_len
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_permuting_stack_permutes_output(self, data):
+        a, b = data.draw(_stacks(max_n=40))
+        band = data.draw(_bands(a, b))
+        perm = data.draw(st.permutations(range(a.shape[0])))
+        out = dtw_distances(a, b, band=band)
+        assert dtw_distances(a[perm], b[perm], band=band).tolist() == out[perm].tolist()
+
+    @pytest.mark.parametrize(
+        "n,m", [(128, 128), (80, 128), (10, 128), (200, 1), (1, 200), (200, 199)]
+    )
+    @pytest.mark.parametrize("band", [None, 16])
+    def test_bench_and_extreme_shapes(self, n, m, band):
+        rng = np.random.default_rng(n * 1000 + m)
+        a = np.cumsum(rng.standard_normal((5, n)), axis=1)
+        b = np.cumsum(rng.standard_normal((5, m)), axis=1)
+        want = [dtw_reference(x, y, band=band, max_len=None) for x, y in zip(a, b)]
+        assert dtw_distances(a, b, band=band).tolist() == want
+
+    def test_length_one(self):
+        a, b = np.array([[3.0]]), np.array([[1.0, 5.0, 2.0]])
+        for band in (None, 0, 1):
+            assert dtw_distances(a, b, band=band)[0] == dtw_reference(a, b, band=band) == 5.0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pair_with_non_finite_value_is_infinitely_far(self, bad):
+        rng = np.random.default_rng(5)
+        a, b = rng.random((3, 20)), rng.random((3, 20))
+        a[1, 7] = bad
+        out = dtw_distances(a, b, band=4)
+        assert out[1] == np.inf
+        assert out[[0, 2]].tolist() == [
+            dtw_reference(a[i], b[i], band=4) for i in (0, 2)
+        ]
+        assert dtw_relevance(a[1], b[1]) == 0.0
+
+    def test_resampling_cannot_hide_a_bad_value(self):
+        a = np.linspace(0.0, 1.0, 1000)
+        a[500] = np.nan
+        assert np.isnan(fit_length(a, 128)).any()
+        assert dtw_distance(a, np.ones(50), max_len=128) == np.inf

@@ -81,3 +81,21 @@ class TestJobs:
         assert set(got["strategy"]) == {"random", "semihard"}
         for m in got["n_neg"].values():
             assert m["converged_epoch"] >= 1
+
+
+class TestJobCache:
+    def test_key_follows_source(self, tmp_path, monkeypatch):
+        """Editing any src/repro source file changes the cache key."""
+        from repro.config import tiny_benchmark_config
+
+        common = _load("_common")
+        cfg = tiny_benchmark_config(13)
+        (tmp_path / "core").mkdir()
+        src = tmp_path / "core" / "dtw.py"
+        src.write_text("x = 1\n")
+        monkeypatch.setattr(common, "SRC_DIR", str(tmp_path))
+        key = common._cfg_key(cfg)
+        assert common._cfg_key(cfg) == key
+        src.write_text("x = 2\n")
+        assert common._cfg_key(cfg) != key
+        assert common._cfg_key(tiny_benchmark_config(14)) != common._cfg_key(cfg)

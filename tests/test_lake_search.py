@@ -102,6 +102,25 @@ class TestTopK:
             scores=cml_scores,
         )
 
+    def test_nan_scores_rank_last(self, spark):
+        rows = [
+            ("q1", "t_nan", float("nan")),
+            ("q1", "t_b", 0.5),
+            ("q1", "t_a", 0.5),
+            ("q1", "t_inf", float("inf")),
+            ("q1", "t_low", -1.0),
+            ("q2", "t_nan", float("nan")),
+            ("q2", "t_a", 0.1),
+        ]
+        scores = spark.createDataFrame(
+            pd.DataFrame(rows, columns=["query_id", "table_id", "score"])
+        )
+        assert ranked_topk(scores, 5) == {
+            "q1": ["t_inf", "t_a", "t_b", "t_low", "t_nan"],
+            "q2": ["t_a", "t_nan"],
+        }
+        assert ranked_topk(scores, 1) == {"q1": ["t_inf"], "q2": ["t_a"]}
+
     def test_ranked_topk_structure(self, cml_scores, bench):
         ranked = ranked_topk(cml_scores, bench.cfg.k)
         assert set(ranked) == {q.query_id for q in bench.queries}

@@ -2,8 +2,35 @@
 import numpy as np
 import pytest
 
+from repro.bench.benchmark import build_benchmark
+from repro.config import tiny_benchmark_config
+from repro.core.bipartite import hungarian_max, matching_weight
 from repro.core.data import LakeTable
-from repro.core.relevance import match_assignment, rel_score, relevance_matrix
+from repro.core.relevance import (
+    match_assignment,
+    rel_score,
+    rel_scores,
+    relevance_matrix,
+)
+from tests.test_dtw import dtw_reference
+
+
+def rel_reference(data, table, *, band=16, max_len=128):
+    """Rel(D, T) one (series, column) pair at a time on the scalar DTW
+    oracle; a pair with a non-finite value has rel 0.0."""
+    w = np.array(
+        [
+            [
+                1.0 / (1.0 + dtw_reference(d, c, band=band, max_len=max_len))
+                if np.isfinite(d).all() and np.isfinite(c).all()
+                else 0.0
+                for c in table.columns
+            ]
+            for d in data
+        ]
+    )
+    pairs = hungarian_max(w)
+    return matching_weight(w, pairs) / len(data) if pairs else 0.0
 
 
 @pytest.fixture()
@@ -75,3 +102,64 @@ class TestMatchAssignment:
         data = [cols[2].copy(), cols[1].copy(), cols[0].copy()]
         pairs = match_assignment(data, t)
         assert (0, 2) in pairs and (1, 1) in pairs and (2, 0) in pairs
+
+
+class TestRelScores:
+    @pytest.fixture(scope="class")
+    def bench(self):
+        return build_benchmark(tiny_benchmark_config(seed=5))
+
+    def test_equals_oracle_on_tiny_benchmark(self, bench):
+        tables = list(bench.repository.values())
+        rel = rel_scores([q.data for q in bench.queries], tables)
+        assert rel.shape == (len(bench.queries), len(tables))
+        rng = np.random.default_rng(0)
+        for qi, q in enumerate(bench.queries):
+            tids = list(bench.repository)
+            picks = {tids.index(q.source_table_id)}
+            picks |= set(rng.choice(len(tables), size=3, replace=False).tolist())
+            for ti in sorted(picks):
+                assert rel[qi, ti] == rel_reference(q.data, tables[ti])
+
+    def test_single_pair_wrappers_agree(self, bench):
+        q, t = bench.queries[0], bench.repository[bench.queries[0].source_table_id]
+        assert rel_score(q.data, t) == rel_scores([q.data], [t])[0, 0]
+        w = relevance_matrix(q.data, t)
+        assert matching_weight(w, hungarian_max(w)) / len(q.data) == rel_score(q.data, t)
+
+    def test_mask_limits_work(self, rng):
+        data = [[rng.random(30)], [rng.random(30), rng.random(20)]]
+        tables = [LakeTable(f"t{i}", [rng.random(25) for _ in range(2)]) for i in range(3)]
+        mask = np.array([[True, False, True], [False, True, False]])
+        rel = rel_scores(data, tables, mask=mask)
+        assert (rel[~mask] == 0.0).all()
+        for q, t in zip(*np.nonzero(mask)):
+            assert rel[q, t] == rel_reference(data[q], tables[t])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_columns_score_finite(self, rng, bad):
+        data = [[rng.random(40), rng.random(40)], [rng.random(300)]]
+        clean = LakeTable("clean", [rng.random(200), rng.random(200)])
+        dirty_col = rng.random(200)
+        dirty_col[77] = bad
+        dirty = LakeTable("dirty", [rng.random(200), dirty_col])
+        all_bad = LakeTable("all_bad", [np.full(40, bad)])
+        tables = [clean, dirty, all_bad]
+        rel = rel_scores(data, tables)
+        assert np.isfinite(rel).all()
+        assert (rel[:, 2] == 0.0).all()
+        for q in range(len(data)):
+            for t in range(len(tables)):
+                assert rel[q, t] == rel_reference(data[q], tables[t])
+        # the clean table is untouched by the rule
+        assert rel[0, 0] == rel_reference(data[0], clean) > 0.0
+
+    def test_non_finite_series_scores_zero(self, rng):
+        series = rng.random(50)
+        series[3] = np.nan
+        t = LakeTable("t", [rng.random(50)])
+        assert rel_scores([[series]], [t])[0, 0] == 0.0
+
+    def test_empty_data_raises(self, rng):
+        with pytest.raises(ValueError):
+            rel_scores([[rng.random(5)], []], [LakeTable("t", [np.ones(3)])])

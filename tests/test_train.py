@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.bench.benchmark import build_benchmark
+from repro.bench.harness import build_triplets
 from repro.chartsim.extractor import extract
 from repro.chartsim.renderer import render_chart
 from repro.chartsim.spec import VisSpec, underlying_data
+from repro.config import tiny_benchmark_config
 from repro.core.data import LakeTable
 from repro.core.fcm import make_model
 from repro.core.train import (
@@ -15,6 +18,7 @@ from repro.core.train import (
     select_negatives,
     train_model,
 )
+from tests.test_relevance import rel_reference
 
 
 class TestSelectNegatives:
@@ -132,3 +136,52 @@ class TestTrainModel:
         scores = {tid: model.score(t0.query, e) for tid, e in encs.items()}
         top2 = sorted(scores, key=scores.get, reverse=True)[:2]
         assert t0.table_id in top2
+
+
+def build_training_set_reference(
+    model, triplets, table_encs, tables, *, n_neg, strategy, batch_size=8, seed=0
+):
+    """The per-triplet loop with one oracle Rel(D, T) per candidate."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    order = rng.permutation(len(triplets))
+    for start in range(0, len(order), batch_size):
+        batch = [triplets[i] for i in order[start : start + batch_size]]
+        ids = [t.table_id for t in batch]
+        for t in batch:
+            xs.append(model.features(t.query, table_encs[t.table_id]))
+            ys.append(1.0)
+            cand = [i for i in ids if i != t.table_id]
+            if not cand:
+                continue
+            rels = np.array(
+                [rel_reference(t.data, tables[c], max_len=64, band=8) for c in cand]
+            )
+            for idx in select_negatives(rels, n_neg, strategy, rng):
+                xs.append(model.features(t.query, table_encs[cand[idx]]))
+                ys.append(0.0)
+    return np.vstack(xs), np.asarray(ys)
+
+
+class TestTrainingSetMatchesOracle:
+    @pytest.fixture(scope="class")
+    def world(self):
+        bench = build_benchmark(tiny_benchmark_config(seed=5))
+        model = make_model(bench.cfg.fcm)
+        return (model, *build_triplets(bench, model))
+
+    @pytest.mark.parametrize("strategy", ["semihard", "random"])
+    def test_xy_and_head_unchanged(self, world, strategy):
+        model, triplets, encs, tables = world
+        # triplets share tables (two charts per table), so batches hold
+        # repeated table ids
+        assert len({t.table_id for t in triplets}) < len(triplets)
+        x, y = build_training_set(
+            model, triplets, encs, tables, n_neg=3, strategy=strategy, seed=3
+        )
+        x_ref, y_ref = build_training_set_reference(
+            model, triplets, encs, tables, n_neg=3, strategy=strategy, seed=3
+        )
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+        head, head_ref = fit_head(x, y, epochs=20).head, fit_head(x_ref, y_ref, epochs=20).head
+        assert np.array_equal(head.w, head_ref.w) and head.b == head_ref.b
