@@ -4,8 +4,8 @@ import pytest
 
 from repro.chartsim.extractor import extract
 from repro.chartsim.renderer import render_chart
-from repro.core.data import aggregate_series
-from repro.core.matcher import moe_column_score
+from repro.core.data import LakeTable, aggregate_series
+from repro.core.matcher import match_fine
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +26,7 @@ def test_da_column_encoding(benchmark, fcm_model, column):
 def test_moe_gated_match(benchmark, fcm_model, column, op, window):
     agg = aggregate_series(column, op, window)
     qenc = fcm_model.encode_query(extract(render_chart([agg])))
-    ce = fcm_model.dataset_encoder.encode_column(column, 0)
-    lr = (float(agg.min()), float(agg.max()))
-    score, _, inferred, _, _ = benchmark(
-        moe_column_score, qenc.line_embs[0], ce, 8.0, lr
-    )
-    assert np.isfinite(score)
+    tenc = fcm_model.encode_table(LakeTable("t", [column]))
+    res = benchmark(match_fine, qenc, tenc, fcm_model.cfg.attn_tau)
+    assert np.isfinite(res.features).all()
+    assert len(res.inferred_ops) == 1

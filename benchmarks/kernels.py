@@ -1,14 +1,26 @@
-"""Per-pair cost of the DTW kernel against the scalar one-pair oracle.
+"""Cost of the batched kernels against the scalar oracles in ``tests/``.
 
-Writes ``BENCH_kernels.json`` at the repository root. For each of the
-benchmark's DTW shapes (series length × column length after resampling
-to 128, band 16) it times the scalar oracle of ``tests/test_dtw.py`` and
-``dtw_distances`` at stack sizes 1, 9 and ``STACK_PAIRS``, and checks the
-two agree bit for bit. It then builds the tiny benchmark's local ground
-truth both ways (``rel_scores`` in one call, and the oracle one (query,
-table) pair at a time) and checks the rankings are identical.
+Writes ``BENCH_kernels.json`` at the repository root.
 
-Run from the repository root (about a minute on 4 cores):
+* ``kernel``: for each of the benchmark's DTW shapes (series length ×
+  column length after resampling to 128, band 16) it times the scalar
+  oracle of ``tests/test_dtw.py`` and ``dtw_distances`` at stack sizes 1,
+  9 and ``STACK_PAIRS``, and checks the two agree bit for bit.
+* ``ground_truth``: the tiny benchmark's local ground truth both ways
+  (``rel_scores`` in one call, and the oracle one (query, table) pair at
+  a time), with identical rankings required.
+* ``encoder``: ms per table of ``DatasetEncoder.encode_table`` (one
+  column stack per variant) against ``encode_table_reference`` of
+  ``tests/test_encoders.py`` (one column, one variant at a time) over
+  the tiny benchmark's lake, with the largest embedding difference.
+* ``matcher``: ms per (query, table) pair of ``match_fine`` (one packed
+  matmul per pair) against ``match_reference`` of
+  ``tests/test_matcher.py`` (one cosine matrix per line, column and
+  variant), all tiny-benchmark queries × all tables, with the largest
+  feature and score differences and whether pairs, inferred operators,
+  kept columns and top-k rankings are identical.
+
+Run from the repository root (about two minutes on 4 cores):
 
     PYTHONPATH=src python benchmarks/kernels.py
 """
@@ -29,8 +41,12 @@ sys.path.insert(0, ROOT)
 from repro.bench.benchmark import build_benchmark  # noqa: E402
 from repro.config import tiny_benchmark_config  # noqa: E402
 from repro.core.dtw import dtw_distances  # noqa: E402
+from repro.core.fcm import make_model  # noqa: E402
+from repro.core.matcher import match_fine  # noqa: E402
 from repro.core.relevance import STACK_PAIRS, rel_scores  # noqa: E402
 from tests.test_dtw import dtw_reference  # noqa: E402
+from tests.test_encoders import encode_table_reference  # noqa: E402
+from tests.test_matcher import match_reference  # noqa: E402
 from tests.test_relevance import rel_reference  # noqa: E402
 
 BAND = 16
@@ -76,8 +92,14 @@ def kernel_rows(rng: np.random.Generator) -> list[dict]:
     return rows
 
 
-def ground_truth_row(seed: int = 13) -> dict:
-    bench = build_benchmark(tiny_benchmark_config(seed=seed))
+def _topk(tids: list[str], scores, k: int) -> list[list[str]]:
+    return [
+        [t for t, _ in sorted(zip(tids, row), key=lambda x: (-x[1], x[0]))[:k]]
+        for row in scores
+    ]
+
+
+def ground_truth_row(bench) -> dict:
     tids = list(bench.repository)
     tables = list(bench.repository.values())
     datas = [q.data for q in bench.queries]
@@ -87,12 +109,7 @@ def ground_truth_row(seed: int = 13) -> dict:
     t = time.perf_counter()
     ref = np.array([[rel_reference(d, tb) for tb in tables] for d in datas])
     oracle_s = time.perf_counter() - t
-
-    def topk(r):
-        return [sorted(zip(tids, row), key=lambda x: (-x[1], x[0]))[: bench.cfg.k] for row in r]
-
     return {
-        "config": f"tiny_benchmark_config(seed={seed})",
         "queries": len(datas),
         "tables": len(tables),
         "series_column_pairs": int(sum(len(d) for d in datas) * sum(tb.n_cols for tb in tables)),
@@ -100,7 +117,60 @@ def ground_truth_row(seed: int = 13) -> dict:
         "rel_scores_s": round(batched_s, 2),
         "speedup": round(oracle_s / batched_s, 1),
         "rel_bit_identical": bool(np.array_equal(rel, ref)),
-        "rankings_identical": topk(rel) == topk(ref),
+        "rankings_identical": _topk(tids, rel, bench.cfg.k) == _topk(tids, ref, bench.cfg.k),
+    }
+
+
+def encoder_row(bench, model) -> dict:
+    enc = model.dataset_encoder
+    tables = list(bench.repository.values())
+    t = time.perf_counter()
+    ref = [encode_table_reference(enc, tb) for tb in tables]
+    oracle_s = time.perf_counter() - t
+    prod_s = _median_s(lambda: [enc.encode_table(tb) for tb in tables])
+    delta = 0.0
+    for tb, want in zip(tables, ref):
+        for g, w in zip(enc.encode_table(tb).columns, want):
+            delta = max(delta, float(np.abs(g.mean_emb - w.mean_emb).max()))
+            for gv, wv in zip(g.variants, w.variants):
+                delta = max(delta, float(np.abs(gv.emb - wv.emb).max()))
+    return {
+        "tables": len(tables),
+        "columns": sum(tb.n_cols for tb in tables),
+        "oracle_ms_per_table": round(1e3 * oracle_s / len(tables), 2),
+        "encode_table_ms_per_table": round(1e3 * prod_s / len(tables), 2),
+        "speedup": round(oracle_s / prod_s, 1),
+        "max_abs_delta_embedding": delta,
+    }
+
+
+def matcher_row(bench, model) -> dict:
+    tau = model.cfg.attn_tau
+    tids = list(bench.repository)
+    encs = [model.encode_table(tb) for tb in bench.repository.values()]
+    queries = [model.encode_query(q.extracted) for q in bench.queries]
+    n_pairs = len(queries) * len(encs)
+    t = time.perf_counter()
+    ref = [[match_reference(q, e, tau) for e in encs] for q in queries]
+    oracle_s = time.perf_counter() - t
+    prod_s = _median_s(lambda: [[match_fine(q, e, tau) for e in encs] for q in queries])
+    got = [[match_fine(q, e, tau) for e in encs] for q in queries]
+    pairs = [(g, r) for gr, rr in zip(got, ref) for g, r in zip(gr, rr)]
+    score_ref = [[model.head(r[0]) for r in row] for row in ref]
+    score_got = [[model.head(g.features) for g in row] for row in got]
+    return {
+        "queries": len(queries),
+        "tables": len(encs),
+        "pairs": n_pairs,
+        "oracle_ms_per_pair": round(1e3 * oracle_s / n_pairs, 3),
+        "match_fine_ms_per_pair": round(1e3 * prod_s / n_pairs, 3),
+        "speedup": round(oracle_s / prod_s, 1),
+        "max_abs_delta_feature": max(float(np.abs(g.features - r[0]).max()) for g, r in pairs),
+        "max_abs_delta_score": float(np.abs(np.array(score_got) - np.array(score_ref)).max()),
+        "pairs_ops_kept_identical": all(
+            (g.pairs, g.inferred_ops, g.kept_col_ids) == tuple(r[1:]) for g, r in pairs
+        ),
+        "rankings_identical": _topk(tids, score_got, bench.cfg.k) == _topk(tids, score_ref, bench.cfg.k),
     }
 
 
@@ -115,13 +185,19 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def main() -> None:
+def main(seed: int = 13) -> None:
+    bench = build_benchmark(tiny_benchmark_config(seed=seed))
+    model = make_model(bench.cfg.fcm)
     out = {
         "what": "DTW kernel us per (series, column) pair vs the scalar oracle; "
-        "tiny-benchmark local ground truth, batched vs one pair at a time",
+        "tiny-benchmark local ground truth, batched vs one pair at a time; "
+        "dataset encoder ms per table and HCMAN matcher ms per (query, table) "
+        "pair, stacked vs the per-column / per-variant oracles",
+        "config": f"tiny_benchmark_config(seed={seed}), full FCM, default head",
         "band": BAND,
         "stack_pairs": STACKS,
-        "timing": f"median of {REPEATS} runs; scalar over {SCALAR_PAIRS} pairs",
+        "timing": f"median of {REPEATS} runs; scalar DTW over {SCALAR_PAIRS} pairs; "
+        "encoder and matcher oracles one run",
         "hardware": {
             "cpu": _cpu_model(),
             "cpus": os.cpu_count(),
@@ -129,9 +205,12 @@ def main() -> None:
             "numpy": np.__version__,
         },
         "kernel": kernel_rows(np.random.default_rng(0)),
-        "ground_truth": ground_truth_row(),
+        "ground_truth": ground_truth_row(bench),
+        "encoder": encoder_row(bench, model),
+        "matcher": matcher_row(bench, model),
     }
-    print(out["ground_truth"], flush=True)
+    for key in ("ground_truth", "encoder", "matcher"):
+        print(key, out[key], flush=True)
     with open(os.path.join(ROOT, "BENCH_kernels.json"), "w") as f:
         json.dump(out, f, indent=2)
         f.write("\n")

@@ -27,10 +27,11 @@ from repro.core.features import (
 
 
 def _global_embed(series: np.ndarray, projector: Projector) -> np.ndarray:
-    """One whole-series embedding: the series is a single 'segment'."""
+    """One whole-series embedding per row of an equal-length ``(S, L)``
+    stack: each series is a single 'segment'."""
     z, mu, sigma = znorm(series)
-    feats = segment_features(z[None, :], mu, sigma, n_profile=12)
-    return projector(feats)[0]
+    feats = segment_features(z[:, None, :], mu, sigma, n_profile=12)
+    return projector(feats)[:, 0, :]
 
 
 class CML(Method):
@@ -45,15 +46,13 @@ class CML(Method):
         self.attention = Attention(cfg.k, seed=cfg.seed + 1)
 
     def prepare_query(self, eq: ExtractedQuery):
-        vecs = np.vstack([_global_embed(t, self.projector) for t in eq.lines])
+        vecs = _global_embed(np.vstack(eq.lines), self.projector)
         lo = min(float(np.min(t)) for t in eq.lines)
         hi = max(float(np.max(t)) for t in eq.lines)
         return self.attention(vecs).mean(axis=0), (lo, hi)
 
     def encode_table(self, table: LakeTable):
-        vecs = np.vstack(
-            [_global_embed(c, self.projector) for c in table.columns]
-        )
+        vecs = _global_embed(np.vstack(table.columns), self.projector)
         lo = min(float(c.min()) for c in table.columns)
         hi = max(float(c.max()) for c in table.columns)
         return self.attention(vecs).mean(axis=0), (lo, hi)

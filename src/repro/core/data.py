@@ -24,33 +24,26 @@ _OP_FUNCS = {
 
 
 def aggregate_series(a: np.ndarray, op: str, window: int) -> np.ndarray:
-    """Tumbling-window aggregation of a 1-D series.
+    """Tumbling-window aggregation of a 1-D series, or of each row of a
+    ``(..., n)`` stack.
 
     The series is split into consecutive windows of ``window`` points
     (the final partial window is kept) and each window is reduced with
     ``op``. ``op='id'`` or ``window<=1`` returns a copy.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
+    a = np.asarray(a, dtype=np.float64)
     if op == "id" or window <= 1:
         return a.copy()
     if op not in _OP_FUNCS:
         raise ValueError(f"unknown aggregation operator {op!r}; expected {AGG_OPS}")
-    if window > a.size:
-        window = a.size
-    n_full = a.size // window
+    size = a.shape[-1]
+    window = min(window, size)
+    n_full = size // window
     f = _OP_FUNCS[op]
-    head = a[: n_full * window].reshape(n_full, window)
-    if op == "avg":
-        out = head.mean(axis=1)
-    elif op == "sum":
-        out = head.sum(axis=1)
-    elif op == "max":
-        out = head.max(axis=1)
-    else:
-        out = head.min(axis=1)
-    tail = a[n_full * window :]
-    if tail.size:
-        out = np.append(out, f(tail))
+    out = f(a[..., : n_full * window].reshape(*a.shape[:-1], n_full, window), axis=-1)
+    tail = a[..., n_full * window :]
+    if tail.shape[-1]:
+        out = np.concatenate([out, f(tail, axis=-1, keepdims=True)], axis=-1)
     return out
 
 

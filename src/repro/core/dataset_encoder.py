@@ -19,6 +19,13 @@ operator" is realised here.
 Also emits the per-column artefacts the indexes need: the interval
 ``[min, sum]`` hull (interval tree, Sec. VI-A) and the mean segment
 embedding (LSH, Sec. VI-A).
+
+A table is encoded as one ``(C, n_rows)`` stack, one featurizer pass per
+(op, window) variant. Its :class:`TableEncoding` also carries the
+:class:`PackedVariants` the matcher consumes: all variants' unit-norm
+segment embeddings in one matrix, built here once per table. A column
+with a NaN or infinite value is encoded as zeros and flagged non-finite;
+its interval and value range are NaN and it is never matched.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import AGG_OPS, FCMConfig
+from repro.config import AGG_OPS, ALL_OPS, FCMConfig
 from repro.core.data import LakeTable, aggregate_series
 from repro.core.features import (
     Attention,
@@ -35,6 +42,7 @@ from repro.core.features import (
     feature_dim,
     segment_features,
     split_segments,
+    unit_rows,
     znorm,
 )
 
@@ -63,15 +71,53 @@ class ColumnEncoding:
 
 
 @dataclass
+class PackedVariants:
+    """Every variant of every column of a table, packed for the matcher.
+
+    Variant ``v`` owns rows ``offsets[v]:offsets[v + 1]`` of ``emb``;
+    variants are in column order, and within a column in
+    ``ColumnEncoding.variants`` order.
+    """
+
+    emb: np.ndarray       # (R, K) segment embeddings, unit L2 rows
+    offsets: np.ndarray   # (V + 1,) row offsets
+    col: np.ndarray       # (V,) column position in the table
+    op: np.ndarray        # (V,) index into ALL_OPS
+    lo: np.ndarray        # (V,) value range of the transformed series
+    hi: np.ndarray        # (V,)
+    finite: np.ndarray    # (C,) column holds no NaN / inf; others never match
+
+    @staticmethod
+    def of(columns: list[ColumnEncoding], finite: np.ndarray) -> "PackedVariants":
+        variants = [(j, v) for j, c in enumerate(columns) for v in c.variants]
+        sizes = [v.emb.shape[0] for _, v in variants]
+        return PackedVariants(
+            emb=unit_rows(np.concatenate([v.emb for _, v in variants])),
+            offsets=np.concatenate([[0], np.cumsum(sizes)]),
+            col=np.array([j for j, _ in variants]),
+            op=np.array([ALL_OPS.index(v.op) for _, v in variants]),
+            lo=np.array([v.value_range[0] for _, v in variants]),
+            hi=np.array([v.value_range[1] for _, v in variants]),
+            finite=finite,
+        )
+
+
+@dataclass
 class TableEncoding:
     table_id: str
     columns: list[ColumnEncoding]
+    packed: PackedVariants
     n_rows: int = 0
     meta: dict = field(default_factory=dict)
 
     @property
     def n_cols(self) -> int:
         return len(self.columns)
+
+    @property
+    def finite_columns(self) -> list[ColumnEncoding]:
+        """The columns a match may use: those with no NaN / inf value."""
+        return [c for c, ok in zip(self.columns, self.packed.finite) if ok]
 
 
 class HMRL:
@@ -98,29 +144,25 @@ class HMRL:
         beta: int,
         n_profile: int,
         projector: Projector,
-        mu: float,
-        sigma: float,
+        mu: np.ndarray | float,
+        sigma: np.ndarray | float,
     ) -> np.ndarray:
-        """Per-segment multi-scale root embeddings, shape (N, K)."""
+        """Per-segment multi-scale root embeddings of a z-normalised series
+        ``(L,)`` or stack ``(..., L)``: shape ``(..., N, K)``."""
         n_leaves = 2**beta
         sub_len = max(1, seg_len // n_leaves)
         segs = split_segments(z, seg_len)
-        n = segs.shape[0]
-        leaves = split_segments(segs.reshape(-1), sub_len)
-        feats = segment_features(leaves, mu, sigma, n_profile)
-        emb = projector(feats)
-        per_seg = emb.shape[0] // n
-        level = emb.reshape(n, per_seg, -1)
-        while level.shape[1] > 1:
-            if level.shape[1] % 2 == 1:  # odd count: carry the last node up
-                carry = level[:, -1:, :]
-                level = np.concatenate(
-                    [self.combine(level[:, :-1:2, :], level[:, 1:-1:2, :]), carry],
-                    axis=1,
-                )
-            else:
-                level = self.combine(level[:, ::2, :], level[:, 1::2, :])
-        return level[:, 0, :]
+        n = segs.shape[-2]
+        leaves = split_segments(segs.reshape(*segs.shape[:-2], -1), sub_len)
+        emb = projector(segment_features(leaves, mu, sigma, n_profile))
+        per_seg = emb.shape[-2] // n
+        level = emb.reshape(*emb.shape[:-2], n, per_seg, emb.shape[-1])
+        while level.shape[-2] > 1:
+            pairs = self.combine(level[..., :-1:2, :], level[..., 1::2, :])
+            if level.shape[-2] % 2 == 1:  # odd count: carry the last node up
+                pairs = np.concatenate([pairs, level[..., -1:, :]], axis=-2)
+            level = pairs
+        return level[..., 0, :]
 
 
 class DatasetEncoder:
@@ -140,10 +182,10 @@ class DatasetEncoder:
         #: blend weight of the HMRL root into the segment embedding
         self.hmrl_mix = 0.2
 
-    # -- per-series encoding ------------------------------------------------
     def _encode_raw(
         self, series: np.ndarray, seg_len: int, with_hmrl: bool
     ) -> np.ndarray:
+        """``(C, L)`` equal-length series -> ``(C, N, K)`` embeddings."""
         emb = encode_series(
             series,
             seg_len,
@@ -151,7 +193,7 @@ class DatasetEncoder:
             projector=self.projector,
             attention=self.attention,
         )
-        if with_hmrl and seg_len >= 2 ** self.cfg.beta and series.size >= seg_len:
+        if with_hmrl and seg_len >= 2 ** self.cfg.beta and series.shape[-1] >= seg_len:
             z, mu, sigma = znorm(series)
             roots = self.hmrl.roots(
                 z, seg_len, self.cfg.beta, self.cfg.n_profile,
@@ -160,24 +202,36 @@ class DatasetEncoder:
             emb = (1 - self.hmrl_mix) * emb + self.hmrl_mix * roots
         return emb
 
-    # -- column / table encoding ---------------------------------------------
     def encode_column(self, col: np.ndarray, col_id: int) -> ColumnEncoding:
-        col = np.asarray(col, dtype=np.float64).ravel()
+        """One column, encoded as a one-column table."""
+        enc = self.encode_table(LakeTable("", [col])).columns[0]
+        enc.col_id = col_id
+        return enc
+
+    def encode_table(self, table: LakeTable) -> TableEncoding:
+        """Encode every column at once: ``LakeTable`` columns share one
+        length, so each (op, window) variant is one pass over the
+        ``(C, n_rows)`` stack."""
         cfg = self.cfg
-        variants = [
-            ColumnVariant(
-                "id",
-                1,
-                self._encode_raw(col, cfg.p2, with_hmrl=cfg.da_enabled),
-                value_range=(float(col.min()), float(col.max())),
+        x = np.vstack(table.columns)
+        finite = np.isfinite(x).all(axis=1)
+        # a non-finite column is encoded as zeros, so no NaN reaches the
+        # stack; the packed finite mask keeps it out of every match
+        x[~finite] = 0.0
+        n = x.shape[1]
+        # one (op, window, embeddings, range lo, range hi) entry per variant
+        views = [
+            (
+                "id", 1, self._encode_raw(x, cfg.p2, with_hmrl=cfg.da_enabled),
+                x.min(axis=1), x.max(axis=1),
             )
         ]
         if cfg.da_enabled:
             for op in AGG_OPS:
                 for w in cfg.da_windows:
-                    if w >= col.size or col.size // w < 4:
+                    if w >= n or n // w < 4:
                         continue
-                    agg = aggregate_series(col, op, w)
+                    agg = aggregate_series(x, op, w)
                     # Aggregation by a window of w shrinks the series by w,
                     # so the segment length shrinks with it: the variant
                     # keeps the SAME segment count (and the same fraction
@@ -186,28 +240,37 @@ class DatasetEncoder:
                     # layer: window >= P2 degenerates to 2-point segments,
                     # which is exactly the Table IV collapse past P2.
                     seg_len_v = max(2, cfg.p2 // w)
-                    variants.append(
-                        ColumnVariant(
-                            op,
-                            w,
-                            self._encode_raw(agg, seg_len_v, with_hmrl=False),
-                            value_range=(float(agg.min()), float(agg.max())),
+                    views.append(
+                        (
+                            op, w, self._encode_raw(agg, seg_len_v, with_hmrl=False),
+                            agg.min(axis=1), agg.max(axis=1),
                         )
                     )
-        lo = float(min(col.min(), col.sum()))
-        hi = float(max(col.max(), col.sum()))
-        mean_emb = variants[0].emb.mean(axis=0)
-        return ColumnEncoding(
-            col_id=col_id,
-            interval=(lo, hi),
-            value_range=(float(col.min()), float(col.max())),
-            variants=variants,
-            mean_emb=mean_emb,
-        )
-
-    def encode_table(self, table: LakeTable) -> TableEncoding:
+        _, _, _, vmin, vmax = views[0]
+        total = x.sum(axis=1)
+        columns = []
+        for j in range(x.shape[0]):
+            if finite[j]:
+                interval = (float(min(vmin[j], total[j])), float(max(vmax[j], total[j])))
+                value_range = (float(vmin[j]), float(vmax[j]))
+            else:
+                interval = value_range = (np.nan, np.nan)
+            variants = [
+                ColumnVariant(op, w, emb[j], value_range=(float(lo[j]), float(hi[j])))
+                for op, w, emb, lo, hi in views
+            ]
+            columns.append(
+                ColumnEncoding(
+                    col_id=j,
+                    interval=interval,
+                    value_range=value_range,
+                    variants=variants,
+                    mean_emb=variants[0].emb.mean(axis=0),
+                )
+            )
         return TableEncoding(
             table_id=table.table_id,
-            columns=[self.encode_column(c, i) for i, c in enumerate(table.columns)],
-            n_rows=table.n_rows,
+            columns=columns,
+            packed=PackedVariants.of(columns, finite),
+            n_rows=n,
         )

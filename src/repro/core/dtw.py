@@ -28,17 +28,39 @@ import numpy as np
 
 
 def resample(a: np.ndarray, n: int) -> np.ndarray:
-    """Linearly resample a 1-D series to exactly ``n`` points."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    if a.size == 0:
+    """Linearly resample a series, or each row of a ``(..., L)`` stack, to
+    exactly ``n`` points.
+
+    Each output point is computed with ``np.interp``'s own formula (slope
+    times offset from the left knot, the knot itself on an exact hit, the
+    last value at the end, and its NaN fallbacks), so a row of a stack is
+    bit-identical to ``np.interp`` on that row alone.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    size = a.shape[-1]
+    if size == 0:
         raise ValueError("cannot resample an empty series")
-    if a.size == n:
+    if size == n:
         return a.copy()
-    if a.size == 1:
-        return np.full(n, a[0])
-    src = np.linspace(0.0, 1.0, a.size)
+    if size == 1:
+        return np.repeat(a, n, axis=-1)
+    src = np.linspace(0.0, 1.0, size)
     dst = np.linspace(0.0, 1.0, n)
-    return np.interp(dst, src, a)
+    j = np.searchsorted(src, dst, side="right") - 1
+    at_end = j == size - 1
+    j = np.minimum(j, size - 2)
+    lo, hi = a[..., j], a[..., j + 1]
+    # np.interp is silent on non-finite input; so is this
+    with np.errstate(invalid="ignore"):
+        slope = (hi - lo) / (src[j + 1] - src[j])
+        out = slope * (dst - src[j]) + lo
+        nan = np.isnan(out)
+        if nan.any():
+            back = slope * (dst - src[j + 1]) + hi
+            back = np.where(np.isnan(back) & (lo == hi), lo, back)
+            out = np.where(nan, back, out)
+    out = np.where(dst == src[j], lo, out)
+    return np.where(at_end, a[..., -1:], out)
 
 
 def fit_length(a: np.ndarray, max_len: int | None) -> np.ndarray:

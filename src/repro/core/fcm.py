@@ -71,8 +71,9 @@ class FCMModel:
         return self.match(query, table_enc).features
 
     def score(self, query: QueryEncoding, table_enc: TableEncoding) -> float:
-        """Rel'(V, T)."""
-        return self.head(self.features(query, table_enc))
+        """Rel'(V, T); 0.0 for a table with no finite column to match."""
+        res = self.match(query, table_enc)
+        return self.head(res.features) if res.kept_col_ids else 0.0
 
     def score_raw(self, eq: ExtractedQuery, table: LakeTable) -> float:
         """Convenience end-to-end path (encodes both sides on the fly)."""

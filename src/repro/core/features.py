@@ -10,8 +10,14 @@ column segments. Our substitution (DESIGN.md §2) keeps the same interface
    channels;
 2. a seeded random linear projection (:class:`Projector`) — the
    "trainable linear projection layer" of Sec. IV-B, untrained;
-3. one numpy self-attention layer (:func:`contextualize`) mixing
+3. one numpy self-attention layer (:class:`Attention`) mixing
    neighbouring segments — the transformer's cross-segment context.
+
+Every step takes a stack of equal-length series (leading axes of any
+shape), so a table's columns or a chart's lines are encoded in one pass;
+a single series is a stack with no leading axis. This is the one
+featurizer: the line encoder, the dataset encoder (with its HMRL leaves)
+and the CML baseline all call it.
 
 All series are z-normalised *globally per series* before segmentation, so
 a segment embedding encodes "where this segment sits and how it moves
@@ -29,54 +35,61 @@ _SCALE_W = 0.25
 _POS_W = 0.5
 
 
-def znorm(series: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Global z-normalisation; returns (z, mu, sigma) with sigma floor."""
-    s = np.asarray(series, dtype=np.float64).ravel()
-    mu = float(s.mean())
-    sigma = float(s.std())
-    if sigma < 1e-12:
-        sigma = 1.0
-    return (s - mu) / sigma, mu, sigma
+def znorm(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Global z-normalisation of a series, or of each row of a ``(..., L)``
+    stack; returns (z, mu, sigma) with sigma floor."""
+    s = np.asarray(series, dtype=np.float64)
+    mu = s.mean(axis=-1)
+    sigma = s.std(axis=-1)
+    sigma = np.where(sigma < 1e-12, 1.0, sigma)
+    return (s - mu[..., None]) / sigma[..., None], mu, sigma
 
 
-def pooled_profile(row: np.ndarray, n: int) -> np.ndarray:
-    """Bucket-mean pooling of a segment down to ``n`` profile points."""
-    row = np.asarray(row, dtype=np.float64).ravel()
-    if row.size <= n:
-        return resample(row, n)
-    q = int(np.ceil(row.size / n))
-    if row.size != q * n:
-        row = resample(row, q * n)
-    return row.reshape(n, q).mean(axis=1)
+def pooled_profile(rows: np.ndarray, n: int) -> np.ndarray:
+    """Bucket-mean pooling of each segment (the last axis) down to ``n``
+    profile points."""
+    rows = np.asarray(rows, dtype=np.float64)
+    size = rows.shape[-1]
+    if size <= n:
+        return resample(rows, n)
+    q = -(-size // n)
+    if size != q * n:
+        rows = resample(rows, q * n)
+    return rows.reshape(*rows.shape[:-1], n, q).mean(axis=-1)
 
 
 def split_segments(series: np.ndarray, seg_len: int) -> np.ndarray:
-    """Split a series into ``N x seg_len`` segments.
+    """Split a series into ``N x seg_len`` segments (each row of a
+    ``(..., L)`` stack into ``(..., N, seg_len)``).
 
     ``N = max(1, round(len/seg_len))``; the series is resampled to
     ``N * seg_len`` first so every segment has the same length (the paper
     assumes divisibility; resampling is the natural generalisation).
     """
-    s = np.asarray(series, dtype=np.float64).ravel()
+    s = np.asarray(series, dtype=np.float64)
     if seg_len < 1:
         raise ValueError("seg_len must be >= 1")
-    n = max(1, int(round(s.size / seg_len)))
-    if s.size != n * seg_len:
+    size = s.shape[-1]
+    n = max(1, int(round(size / seg_len)))
+    if size != n * seg_len:
         s = resample(s, n * seg_len)
-    return s.reshape(n, seg_len)
+    return s.reshape(*s.shape[:-1], n, seg_len)
 
 
 def segment_features(
-    segs: np.ndarray, mu: float, sigma: float, n_profile: int
+    segs: np.ndarray, mu: np.ndarray | float, sigma: np.ndarray | float, n_profile: int
 ) -> np.ndarray:
-    """Featurize every segment of a z-normalised series.
+    """Featurize every segment of z-normalised series — the one featurizer.
 
-    ``segs`` is (N, L) of z-space values. Output is (N, 9 + n_profile + 2):
-    [mean, std, slope, min, max, first, last, curvature, position] +
-    shape profile + scaled [log-mu, log-sigma] global channels.
+    ``segs`` is ``(..., N, L)`` z-space values: N segments per series, any
+    number of leading stack axes; ``mu``/``sigma`` hold each series' scale
+    (shape ``segs.shape[:-2]``, or scalars for one series). Output is
+    ``(..., N, 11 + n_profile + 2)``: [mean, std, slope, min, max, first,
+    last, curvature, position, crossings, total variation] + shape profile
+    + scaled [log-mu, log-sigma] global channels.
     """
     segs = np.asarray(segs, dtype=np.float64)
-    n, _length = segs.shape
+    n = segs.shape[-2]
     # All moments are computed on the fixed-length pooled profile, NOT the
     # raw segment: the chart side sees a rendering-smoothed trace, so
     # raw-granularity statistics (std/curvature of a noisy 64-point
@@ -84,42 +97,42 @@ def segment_features(
     # profile uses bucket-MEAN pooling (not point sampling) so
     # high-frequency content is antialiased identically on both sides and
     # elementwise noise averages out instead of decorrelating duplicates.
-    prof = np.vstack([pooled_profile(row, n_profile) for row in segs])
+    prof = pooled_profile(segs, n_profile)
     xs = np.arange(n_profile, dtype=np.float64)
     xs -= xs.mean()
     denom = float((xs**2).sum()) or 1.0
-    slope = (prof * xs).sum(axis=1) / denom
+    slope = (prof * xs).sum(axis=-1) / denom
     if n_profile >= 3:
-        curv = np.abs(np.diff(prof, n=2, axis=1)).mean(axis=1)
+        curv = np.abs(np.diff(prof, n=2, axis=-1)).mean(axis=-1)
     else:
-        curv = np.zeros(n)
-    pos = (np.arange(n) + 0.5) / n * _POS_W
+        curv = np.zeros(prof.shape[:-1])
+    pos = np.broadcast_to((np.arange(n) + 0.5) / n * _POS_W, prof.shape[:-1])
     # oscillation features: mean-crossing rate and total variation of the
     # profile separate periodic series from level-shift series, which the
     # low-order moments alone cannot (both computed at the shared profile
     # granularity so chart and data sides agree).
-    centered = prof - prof.mean(axis=1, keepdims=True)
-    crossings = (np.diff(np.sign(centered), axis=1) != 0).mean(axis=1)
-    tv = np.abs(np.diff(prof, axis=1)).sum(axis=1) / n_profile
-    base = np.column_stack(
+    centered = prof - prof.mean(axis=-1, keepdims=True)
+    crossings = (np.diff(np.sign(centered), axis=-1) != 0).mean(axis=-1)
+    tv = np.abs(np.diff(prof, axis=-1)).sum(axis=-1) / n_profile
+    base = np.stack(
         [
-            prof.mean(axis=1),
-            prof.std(axis=1),
+            prof.mean(axis=-1),
+            prof.std(axis=-1),
             slope * n_profile,  # slope over the whole segment, not per step
-            prof.min(axis=1),
-            prof.max(axis=1),
-            prof[:, 0],
-            prof[:, -1],
+            prof.min(axis=-1),
+            prof.max(axis=-1),
+            prof[..., 0],
+            prof[..., -1],
             curv,
             pos,
             crossings,
             tv,
-        ]
+        ],
+        axis=-1,
     )
-    scale = np.tile(
-        np.array([np.log1p(abs(mu)), np.log1p(sigma)]) * _SCALE_W, (n, 1)
-    )
-    return np.hstack([base, prof, scale])
+    scale = np.stack([np.log1p(np.abs(mu)), np.log1p(sigma)], axis=-1) * _SCALE_W
+    scale = np.broadcast_to(scale[..., None, :], prof.shape[:-1] + (2,))
+    return np.concatenate([base, prof, scale], axis=-1)
 
 
 def feature_dim(n_profile: int) -> int:
@@ -139,12 +152,14 @@ class Projector:
         self.k = k
 
     def __call__(self, feats: np.ndarray) -> np.ndarray:
+        """Project ``(..., base_dim)`` features to ``(..., K)``."""
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
-        if feats.shape[1] != self.base_dim:
+        if feats.shape[-1] != self.base_dim:
             raise ValueError(
-                f"feature dim {feats.shape[1]} != projector base_dim {self.base_dim}"
+                f"feature dim {feats.shape[-1]} != projector base_dim {self.base_dim}"
             )
-        return feats @ self.w
+        flat = feats.reshape(-1, self.base_dim) @ self.w
+        return flat.reshape(*feats.shape[:-1], self.k)
 
 
 class Attention:
@@ -158,12 +173,13 @@ class Attention:
         self.mix = mix
 
     def __call__(self, e: np.ndarray) -> np.ndarray:
+        """Mix the segments (axis -2) of each ``(..., N, K)`` sequence."""
         e = np.atleast_2d(e)
         q, kk = e @ self.wq, e @ self.wk
-        logits = q @ kk.T / (self.tau * np.sqrt(e.shape[1]))
-        logits -= logits.max(axis=1, keepdims=True)
+        logits = q @ np.swapaxes(kk, -1, -2) / (self.tau * np.sqrt(e.shape[-1]))
+        logits -= logits.max(axis=-1, keepdims=True)
         a = np.exp(logits)
-        a /= a.sum(axis=1, keepdims=True)
+        a /= a.sum(axis=-1, keepdims=True)
         return e + self.mix * (a @ e)
 
 
@@ -175,8 +191,9 @@ def encode_series(
     projector: Projector,
     attention: Attention | None = None,
 ) -> np.ndarray:
-    """Full encoder for one series: znorm -> segment -> featurize ->
-    project -> contextualize. Returns (N, K) segment embeddings."""
+    """Full encoder for one series, or each row of a ``(..., L)`` stack of
+    equal-length series: znorm -> segment -> featurize -> project ->
+    contextualize. Returns ``(..., N, K)`` segment embeddings."""
     z, mu, sigma = znorm(series)
     segs = split_segments(z, seg_len)
     feats = segment_features(segs, mu, sigma, n_profile)
@@ -186,10 +203,12 @@ def encode_series(
     return emb
 
 
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` scaled to unit L2 norm (``+1e-12`` keeps a zero row
+    zero)."""
+    return a / (np.linalg.norm(a, axis=-1, keepdims=True) + 1e-12)
+
+
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity between rows of a (N,K) and b (M,K)."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    an = a / (np.linalg.norm(a, axis=1, keepdims=True) + 1e-12)
-    bn = b / (np.linalg.norm(b, axis=1, keepdims=True) + 1e-12)
-    return an @ bn.T
+    return unit_rows(np.atleast_2d(a)) @ unit_rows(np.atleast_2d(b)).T

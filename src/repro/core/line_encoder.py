@@ -46,22 +46,22 @@ class LineChartEncoder:
         self.projector = Projector(base, cfg.k, seed=cfg.seed)
         self.attention = Attention(cfg.k, seed=cfg.seed + 1)
 
-    def encode_line(self, trace: np.ndarray) -> np.ndarray:
-        return encode_series(
-            trace,
+    def encode(self, eq: ExtractedQuery, keep_raster: bool = True) -> QueryEncoding:
+        if not eq.lines:
+            raise ValueError("query has no extracted lines")
+        traces = [np.asarray(t, dtype=np.float64) for t in eq.lines]
+        # the extractor's lines share the plot width: one stack of M lines
+        embs = encode_series(
+            np.vstack(traces),
             self.cfg.p1,
             n_profile=self.cfg.n_profile,
             projector=self.projector,
             attention=self.attention,
         )
-
-    def encode(self, eq: ExtractedQuery, keep_raster: bool = True) -> QueryEncoding:
-        if not eq.lines:
-            raise ValueError("query has no extracted lines")
         return QueryEncoding(
             query_id=eq.query_id,
-            line_embs=[self.encode_line(t) for t in eq.lines],
-            traces=[np.asarray(t, dtype=np.float64) for t in eq.lines],
+            line_embs=list(embs),
+            traces=traces,
             y_range=eq.y_range,
             raster=eq.raster if keep_raster else None,
             meta=dict(eq.meta or {}),

@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import ALL_OPS
 from repro.core.bipartite import hungarian_max
 from repro.core.dataset_encoder import ColumnEncoding, TableEncoding
-from repro.core.features import cosine_matrix
+from repro.core.features import cosine_matrix, unit_rows
 from repro.core.line_encoder import QueryEncoding
 
 #: feature names of the full (fine-grained) matcher
@@ -44,75 +44,25 @@ FEATURES_GLOBAL = ("global_cos", "range_overlap", "coverage")
 _GATE_TAU = 12.0
 #: weight of the range-consistency (IoU) bonus inside the matching score
 _RANGE_W = 0.6
-#: identity-expert prior added before the MoE gate softmax
+#: identity-expert prior added before the MoE gate softmax: on smooth data
+#: a tiny-window aggregate is numerically identical to the raw column, so
+#: near-ties must resolve to "no aggregation" (the learned gate of the
+#: paper encodes the same prior through the non-DA transformation layer)
 _ID_PRIOR = 0.02
+_ID = ALL_OPS.index("id")
 
 
-def segment_scores(ev: np.ndarray, et: np.ndarray, tau: float) -> tuple[float, float]:
-    """Segment-level match of one line vs one column variant.
+def range_iou(a: tuple, b: tuple) -> np.ndarray:
+    """Intersection-over-union of value ranges ``a = (lo, hi)`` and ``b``.
 
-    Returns ``(score, fwd)`` where score blends max-pooled and
-    attention-pooled similarities in both directions and ``fwd`` is the
-    forward attention-pooled similarity (kept as a separate statistic).
+    The bounds may be arrays; they broadcast against each other.
     """
-    s = cosine_matrix(ev, et)
-    row_max = s.max(axis=1)
-    col_max = s.max(axis=0)
-    logits = s * tau
-    logits -= logits.max(axis=1, keepdims=True)
-    a = np.exp(logits)
-    a /= a.sum(axis=1, keepdims=True)
-    fwd = float((a * s).sum(axis=1).mean())
-    score = 0.5 * float(row_max.mean()) + 0.3 * fwd + 0.2 * float(col_max.mean())
-    return score, fwd
-
-
-def moe_column_score(
-    ev: np.ndarray,
-    col: ColumnEncoding,
-    tau: float,
-    line_range: tuple[float, float] | None = None,
-) -> tuple[float, float, str, float, float]:
-    """Line-vs-column score through the MoE gate over operator experts.
-
-    Per expert op, the score is the best over its window variants, with a
-    range-consistency bonus (the transformed series should live where the
-    line lives — the value-space evidence the y-ticks provide). The gate
-    is a softmax over expert scores. Returns
-    ``(score, fwd, inferred_op, gate_confidence, range_iou)``.
-    """
-    per_op: dict[str, tuple[float, float, float]] = {}
-    for var in col.variants:
-        sc, fwd = segment_scores(ev, var.emb, tau)
-        iou = range_iou(line_range, var.value_range) if line_range else 0.0
-        total = sc + _RANGE_W * iou
-        cur = per_op.get(var.op)
-        if cur is None or total > cur[0]:
-            per_op[var.op] = (total, fwd, iou)
-    ops = [op for op in ALL_OPS if op in per_op]
-    scores = np.array([per_op[op][0] for op in ops])
-    # small identity prior: on smooth data a tiny-window aggregate is
-    # numerically identical to the raw column, so near-ties must resolve
-    # to "no aggregation" (the learned gate of the paper encodes the same
-    # prior through the non-DA transformation layer).
-    scores = scores + np.array([_ID_PRIOR if op == "id" else 0.0 for op in ops])
-    logits = scores * _GATE_TAU
-    logits -= logits.max()
-    g = np.exp(logits)
-    g /= g.sum()
-    score = float((g * scores).sum())
-    fwd = float((g * np.array([per_op[op][1] for op in ops])).sum())
-    best = int(np.argmax(g))
-    return score, fwd, ops[best], float(g[best]), per_op[ops[best]][2]
-
-
-def range_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Intersection-over-union of two value ranges."""
-    inter = min(a[1], b[1]) - max(a[0], b[0])
-    union = max(a[1], b[1]) - min(a[0], b[0])
-    if union <= 1e-12:
-        return 1.0  # both ranges degenerate and coincident
-    return float(np.clip(inter / union, 0.0, 1.0))
+    inter = np.minimum(a[1], b[1]) - np.maximum(a[0], b[0])
+    union = np.maximum(a[1], b[1]) - np.minimum(a[0], b[0])
+    degenerate = union <= 1e-12  # both ranges degenerate and coincident
+    return np.where(
+        degenerate, 1.0, np.clip(inter / np.where(degenerate, 1.0, union), 0.0, 1.0)
+    )
 
 
 def range_overlap(q_range: tuple[float, float], c_range: tuple[float, float]) -> float:
@@ -127,14 +77,15 @@ def range_overlap(q_range: tuple[float, float], c_range: tuple[float, float]) ->
 def filter_columns(
     query: QueryEncoding, table: TableEncoding, pad: float = 0.25
 ) -> list[ColumnEncoding]:
-    """Tick-based column filter (Sec. IV-C): keep columns whose
+    """Tick-based column filter (Sec. IV-C): keep finite columns whose
     ``[min, sum]`` hull overlaps the padded query y-range; fall back to
-    all columns if the filter empties the table."""
+    all finite columns if the filter empties the table."""
     qlo, qhi = query.y_range
     span = max(qhi - qlo, 1e-12)
     lo, hi = qlo - pad * span, qhi + pad * span
-    kept = [c for c in table.columns if c.interval[0] <= hi and c.interval[1] >= lo]
-    return kept or list(table.columns)
+    finite = table.finite_columns
+    kept = [c for c in finite if c.interval[0] <= hi and c.interval[1] >= lo]
+    return kept or finite
 
 
 @dataclass
@@ -146,26 +97,90 @@ class MatchResult:
 
 
 def match_fine(query: QueryEncoding, table: TableEncoding, tau: float) -> MatchResult:
-    """Full fine-grained HCMAN matching -> FEATURES_FULL vector."""
+    """Full fine-grained HCMAN matching -> FEATURES_FULL vector.
+
+    One pass over the table's packed variants: a single matmul of every
+    line segment against every kept variant segment, per-variant
+    reductions with ``reduceat``, then the MoE gate over all (line,
+    column) pairs at once. A table with no finite column matches nothing
+    and gets an all-zero vector.
+    """
     cols = filter_columns(query, table)
+    if not cols:
+        return MatchResult(np.zeros(len(FEATURES_FULL)), [], [], [])
     m, nc = query.m, len(cols)
-    line_ranges = [
-        (float(np.min(t)), float(np.max(t))) for t in query.traces
-    ]
-    score = np.empty((m, nc))
-    fwd = np.empty((m, nc))
-    op_inf = np.empty((m, nc), dtype=object)
-    conf = np.empty((m, nc))
-    iou = np.empty((m, nc))
-    for i, ev in enumerate(query.line_embs):
-        for j, col in enumerate(cols):
-            (
-                score[i, j],
-                fwd[i, j],
-                op_inf[i, j],
-                conf[i, j],
-                iou[i, j],
-            ) = moe_column_score(ev, col, tau, line_range=line_ranges[i])
+    kept_ids = np.array([c.col_id for c in cols])  # ascending, = positions
+    pk = table.packed
+    sizes = np.diff(pk.offsets)
+    keep = np.isin(pk.col, kept_ids)
+    n_var = sizes[keep]
+    var_start = np.cumsum(n_var) - n_var
+    col, op = pk.col[keep], pk.op[keep]
+
+    # -- SL-SAN: per (line, variant) segment score, a blend of max-pooled
+    # and attention-pooled similarities in both directions ------------------
+    n_line = np.array([e.shape[0] for e in query.line_embs])
+    line_start = np.cumsum(n_line) - n_line
+    s = unit_rows(np.vstack(query.line_embs)) @ pk.emb[np.repeat(keep, sizes)].T
+    row_max = np.maximum.reduceat(s, var_start, axis=1)
+    # attention pooling over each variant's segments; rounding is monotone,
+    # so tau * row_max is exactly the max of the logits
+    a = np.exp(s * tau - np.repeat(row_max * tau, n_var, axis=1))
+    fwd_rows = np.add.reduceat(a * s, var_start, axis=1) / np.add.reduceat(
+        a, var_start, axis=1
+    )
+    col_max = np.maximum.reduceat(s, line_start, axis=0)
+
+    def line_mean(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x, line_start, axis=0) / n_line[:, None]
+
+    fwd = line_mean(fwd_rows)
+    seg = (
+        0.5 * line_mean(row_max)
+        + 0.3 * fwd
+        + 0.2 * np.add.reduceat(col_max, var_start, axis=1) / n_var
+    )
+    # range-consistency bonus: the transformed series should live where the
+    # line lives (the value-space evidence the y-ticks provide)
+    line_lo = np.array([np.min(t) for t in query.traces])[:, None]
+    line_hi = np.array([np.max(t) for t in query.traces])[:, None]
+    iou = range_iou((line_lo, line_hi), (pk.lo[keep], pk.hi[keep]))
+    total = seg + _RANGE_W * iou
+
+    # -- experts: each (column, op) run of variants keeps its best window,
+    # the first one on ties ------------------------------------------------
+    new = np.r_[True, (col[1:] != col[:-1]) | (op[1:] != op[:-1])]
+    first_var = np.flatnonzero(new)
+    best = np.maximum.reduceat(total, first_var, axis=1)
+    at_best = total == best[:, np.cumsum(new) - 1]
+    pick_var = np.minimum.reduceat(
+        np.where(at_best, np.arange(col.size), col.size), first_var, axis=1
+    )
+    line_ix = np.arange(m)[:, None]
+    gc, go = np.searchsorted(kept_ids, col[first_var]), op[first_var]
+    present = np.zeros((nc, len(ALL_OPS)), dtype=bool)
+    present[gc, go] = True
+    expert = np.zeros((3, m, nc, len(ALL_OPS)))
+    expert[:, :, gc, go] = (
+        best + _ID_PRIOR * (go == _ID),
+        fwd[line_ix, pick_var],
+        iou[line_ix, pick_var],
+    )
+    e_score, e_fwd, e_iou = expert
+
+    # -- MoE gate: a softmax over each (line, column)'s experts, all pairs at
+    # once; its argmax is the inferred operator. An absent expert has weight
+    # exactly 0 and score 0, so no -inf * 0 arises
+    logits = np.where(present, e_score * _GATE_TAU, -np.inf)
+    g = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    g /= g.sum(axis=-1, keepdims=True)
+    score = (g * e_score).sum(axis=-1)
+    fwd_c = (g * e_fwd).sum(axis=-1)
+    top = g.argmax(axis=-1)[..., None]
+    conf = np.take_along_axis(g, top, axis=-1)[..., 0]
+    iou_c = np.take_along_axis(e_iou, top, axis=-1)[..., 0]
+
+    # -- LL-SAN: bipartite line -> column assignment ----------------------------
     pairs = hungarian_max(score)
     matched = np.array([score[i, j] for i, j in pairs])
     # Normalise by M (the number of lines), like Rel(D, T) in Sec. III-A:
@@ -176,16 +191,16 @@ def match_fine(query: QueryEncoding, table: TableEncoding, tau: float) -> MatchR
             matched.sum() / m,
             matched.min() if len(pairs) == m else 0.0,
             matched.max(),
-            float(np.sum([fwd[i, j] for i, j in pairs])) / m,
+            float(np.sum([fwd_c[i, j] for i, j in pairs])) / m,
             coverage,
-            float(np.sum([iou[i, j] for i, j in pairs])) / m,
+            float(np.sum([iou_c[i, j] for i, j in pairs])) / m,
             float(np.mean([conf[i, j] for i, j in pairs])),
         ]
     )
     return MatchResult(
         features=feats,
         pairs=pairs,
-        inferred_ops=[op_inf[i, j] for i, j in pairs],
+        inferred_ops=[ALL_OPS[top[i, j, 0]] for i, j in pairs],
         kept_col_ids=[c.col_id for c in cols],
     )
 
@@ -193,8 +208,10 @@ def match_fine(query: QueryEncoding, table: TableEncoding, tau: float) -> MatchR
 def match_global(query: QueryEncoding, table: TableEncoding) -> MatchResult:
     """FCM-HCMAN ablation (Sec. VII-D.1): averaged representations and a
     single global cosine — no segment-level or line-level matching."""
+    cols = table.finite_columns
+    if not cols:
+        return MatchResult(np.zeros(len(FEATURES_GLOBAL)), [], [], [])
     v = np.mean([e.mean(axis=0) for e in query.line_embs], axis=0)
-    cols = table.columns
     t = np.mean([c.mean_emb for c in cols], axis=0)
     cos = float(cosine_matrix(v[None, :], t[None, :])[0, 0])
     # one global range check: union of line ranges vs union of column ranges

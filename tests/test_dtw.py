@@ -88,6 +88,30 @@ class TestResample:
         a = np.linspace(-3, 5, 17)
         np.testing.assert_allclose(resample(a, 33), np.linspace(-3, 5, 33))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(1, 300),
+        n=st.integers(1, 300),
+        scale=st.sampled_from([1e-6, 1.0, 1e12]),
+        n_bad=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_rows_bit_identical_to_interp(self, size, n, scale, n_bad, seed):
+        """Each row of a stack is what ``np.interp`` gives for that row,
+        non-finite values included."""
+        rng = np.random.default_rng(seed)
+        a = np.cumsum(rng.standard_normal((3, size)), axis=1) * scale
+        a.flat[rng.integers(a.size, size=n_bad)] = rng.choice([np.nan, np.inf, -np.inf], n_bad)
+        got = resample(a, n)
+        for row, out in zip(a, got):
+            want = (
+                np.full(n, row[0])
+                if size == 1
+                else np.interp(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, size), row)
+            )
+            np.testing.assert_array_equal(out, want)
+            np.testing.assert_array_equal(resample(row, n), want)
+
 
 class TestDTWDistance:
     def test_identical_series_zero(self):

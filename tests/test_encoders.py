@@ -1,14 +1,254 @@
 """Tests for the segment-level line chart and dataset encoders."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.chartsim.extractor import extract
+from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
-from repro.config import ALL_OPS, FCMConfig
+from repro.config import AGG_OPS, ALL_OPS, FCMConfig
 from repro.core.data import LakeTable
-from repro.core.dataset_encoder import DatasetEncoder, HMRL
+from repro.core.dataset_encoder import (
+    ColumnEncoding,
+    ColumnVariant,
+    DatasetEncoder,
+    HMRL,
+)
 from repro.core.features import Projector, feature_dim, znorm
 from repro.core.line_encoder import LineChartEncoder
+
+
+# -- the per-series encoder: one column, one variant, one segment at a time ----
+# The oracle for the stacked encoders, which must agree with it to 1e-12.
+def _resample_ref(a: np.ndarray, n: int) -> np.ndarray:
+    if a.size == n:
+        return a.copy()
+    if a.size == 1:
+        return np.full(n, a[0])
+    return np.interp(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, a.size), a)
+
+
+def _znorm_ref(s: np.ndarray):
+    mu, sigma = float(s.mean()), float(s.std())
+    if sigma < 1e-12:
+        sigma = 1.0
+    return (s - mu) / sigma, mu, sigma
+
+
+def _split_ref(s: np.ndarray, seg_len: int) -> np.ndarray:
+    n = max(1, int(round(s.size / seg_len)))
+    if s.size != n * seg_len:
+        s = _resample_ref(s, n * seg_len)
+    return s.reshape(n, seg_len)
+
+
+def _pooled_ref(row: np.ndarray, n: int) -> np.ndarray:
+    if row.size <= n:
+        return _resample_ref(row, n)
+    q = int(np.ceil(row.size / n))
+    if row.size != q * n:
+        row = _resample_ref(row, q * n)
+    return row.reshape(n, q).mean(axis=1)
+
+
+def _features_ref(segs: np.ndarray, mu: float, sigma: float, n_profile: int) -> np.ndarray:
+    n = segs.shape[0]
+    prof = np.vstack([_pooled_ref(row, n_profile) for row in segs])
+    xs = np.arange(n_profile, dtype=np.float64)
+    xs -= xs.mean()
+    denom = float((xs**2).sum()) or 1.0
+    slope = (prof * xs).sum(axis=1) / denom
+    if n_profile >= 3:
+        curv = np.abs(np.diff(prof, n=2, axis=1)).mean(axis=1)
+    else:
+        curv = np.zeros(n)
+    pos = (np.arange(n) + 0.5) / n * 0.5
+    centered = prof - prof.mean(axis=1, keepdims=True)
+    crossings = (np.diff(np.sign(centered), axis=1) != 0).mean(axis=1)
+    tv = np.abs(np.diff(prof, axis=1)).sum(axis=1) / n_profile
+    base = np.column_stack(
+        [
+            prof.mean(axis=1), prof.std(axis=1), slope * n_profile,
+            prof.min(axis=1), prof.max(axis=1), prof[:, 0], prof[:, -1],
+            curv, pos, crossings, tv,
+        ]
+    )
+    scale = np.tile(np.array([np.log1p(abs(mu)), np.log1p(sigma)]) * 0.25, (n, 1))
+    return np.hstack([base, prof, scale])
+
+
+def _attention_ref(e: np.ndarray, att) -> np.ndarray:
+    logits = (e @ att.wq) @ (e @ att.wk).T / (att.tau * np.sqrt(e.shape[1]))
+    logits -= logits.max(axis=1, keepdims=True)
+    a = np.exp(logits)
+    a /= a.sum(axis=1, keepdims=True)
+    return e + att.mix * (a @ e)
+
+
+def encode_series_reference(series: np.ndarray, seg_len: int, enc) -> np.ndarray:
+    """One series -> (N, K) with ``enc``'s projection and attention."""
+    z, mu, sigma = _znorm_ref(series)
+    feats = _features_ref(_split_ref(z, seg_len), mu, sigma, enc.cfg.n_profile)
+    return _attention_ref(feats @ enc.projector.w, enc.attention)
+
+
+def _hmrl_ref(series: np.ndarray, seg_len: int, enc: DatasetEncoder) -> np.ndarray:
+    z, mu, sigma = _znorm_ref(series)
+    segs = _split_ref(z, seg_len)
+    n = segs.shape[0]
+    leaves = _split_ref(segs.reshape(-1), max(1, seg_len // 2**enc.cfg.beta))
+    emb = _features_ref(leaves, mu, sigma, enc.cfg.n_profile) @ enc.projector.w
+    level = emb.reshape(n, emb.shape[0] // n, -1)
+    while level.shape[1] > 1:
+        if level.shape[1] % 2 == 1:
+            level = np.concatenate(
+                [enc.hmrl.combine(level[:, :-1:2], level[:, 1:-1:2]), level[:, -1:]],
+                axis=1,
+            )
+        else:
+            level = enc.hmrl.combine(level[:, ::2], level[:, 1::2])
+    return level[:, 0]
+
+
+def _aggregate_ref(a: np.ndarray, op: str, window: int) -> np.ndarray:
+    window = min(window, a.size)
+    n_full = a.size // window
+    f = {"avg": np.mean, "sum": np.sum, "max": np.max, "min": np.min}[op]
+    out = f(a[: n_full * window].reshape(n_full, window), axis=1)
+    tail = a[n_full * window :]
+    return np.append(out, f(tail)) if tail.size else out
+
+
+def encode_table_reference(enc: DatasetEncoder, table: LakeTable) -> list[ColumnEncoding]:
+    """Every column, every (op, window) variant, encoded on its own."""
+    cfg = enc.cfg
+    out = []
+    for col_id, col in enumerate(table.columns):
+        emb = encode_series_reference(col, cfg.p2, enc)
+        if cfg.da_enabled and cfg.p2 >= 2**cfg.beta and col.size >= cfg.p2:
+            emb = (1 - enc.hmrl_mix) * emb + enc.hmrl_mix * _hmrl_ref(col, cfg.p2, enc)
+        variants = [ColumnVariant("id", 1, emb, (float(col.min()), float(col.max())))]
+        if cfg.da_enabled:
+            for op in AGG_OPS:
+                for w in cfg.da_windows:
+                    if w >= col.size or col.size // w < 4:
+                        continue
+                    agg = _aggregate_ref(col, op, w)
+                    emb = encode_series_reference(agg, max(2, cfg.p2 // w), enc)
+                    variants.append(
+                        ColumnVariant(op, w, emb, (float(agg.min()), float(agg.max())))
+                    )
+        out.append(
+            ColumnEncoding(
+                col_id=col_id,
+                interval=(float(min(col.min(), col.sum())), float(max(col.max(), col.sum()))),
+                value_range=(float(col.min()), float(col.max())),
+                variants=variants,
+                mean_emb=variants[0].emb.mean(axis=0),
+            )
+        )
+    return out
+
+
+# -- generated tables and queries (shared with tests/test_matcher.py) ---------
+COLUMN_KINDS = ("walk", "const", "neg", "huge")
+
+
+def make_column(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    walk = np.cumsum(rng.standard_normal(n)) + rng.uniform(-20.0, 20.0)
+    if kind == "const":
+        return np.full(n, rng.uniform(-5.0, 5.0))
+    if kind == "neg":
+        return -np.abs(walk) - 1.0
+    if kind == "huge":
+        return 5e12 + 1e11 * walk
+    return walk
+
+
+@st.composite
+def tables(draw) -> LakeTable:
+    """1-9 columns of mixed kinds; 2 rows, fewer rows than P2, or an odd
+    row count (a multiple of no window)."""
+    n = draw(
+        st.one_of(
+            st.just(2), st.integers(3, 63), st.integers(32, 170).map(lambda k: 2 * k + 1)
+        )
+    )
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return LakeTable("t", [make_column(rng, k, n) for k in kinds])
+
+
+def model_config(variant: str) -> FCMConfig:
+    return FCMConfig() if variant == "full" else FCMConfig().without_da()
+
+
+def assert_columns_close(got: list[ColumnEncoding], want: list[ColumnEncoding]) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.col_id == w.col_id
+        np.testing.assert_allclose(g.interval, w.interval, rtol=1e-15)
+        np.testing.assert_allclose(g.value_range, w.value_range, rtol=1e-15)
+        np.testing.assert_allclose(g.mean_emb, w.mean_emb, rtol=0, atol=1e-12)
+        assert [(v.op, v.window) for v in g.variants] == [(v.op, v.window) for v in w.variants]
+        for gv, wv in zip(g.variants, w.variants):
+            assert gv.emb.shape == wv.emb.shape
+            np.testing.assert_allclose(gv.emb, wv.emb, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gv.value_range, wv.value_range, rtol=1e-15)
+
+
+class TestAgainstReference:
+    @settings(max_examples=30, deadline=None)
+    @given(table=tables(), variant=st.sampled_from(["full", "no_da"]))
+    def test_encode_table(self, table, variant):
+        enc = DatasetEncoder(model_config(variant))
+        with np.errstate(invalid="raise", divide="raise"):
+            got = enc.encode_table(table)
+        assert_columns_close(got.columns, encode_table_reference(enc, table))
+        assert got.packed.finite.all()
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_line_encoder(self, m, seed):
+        rng = np.random.default_rng(seed)
+        enc = LineChartEncoder(FCMConfig())
+        lines = [
+            make_column(rng, COLUMN_KINDS[i % len(COLUMN_KINDS)], 480) for i in range(m)
+        ]
+        with np.errstate(invalid="raise", divide="raise"):
+            q = enc.encode(ExtractedQuery(lines=lines, y_range=(0.0, 1.0), raster=None))
+        for got, line in zip(q.line_embs, lines):
+            want = encode_series_reference(line, enc.cfg.p1, enc)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_encode_column_is_one_column_table(self, cfg, rng):
+        enc = DatasetEncoder(cfg)
+        col = rng.random(300)
+        ce = enc.encode_column(col, 7)
+        assert ce.col_id == 7
+        (want,) = encode_table_reference(enc, LakeTable("t", [col]))
+        want.col_id = 7
+        assert_columns_close([ce], [want])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bad_column_flagged_without_warnings(self, cfg, rng, bad):
+        cols = [rng.random(200), rng.random(200)]
+        cols[1][17] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            te = DatasetEncoder(cfg).encode_table(LakeTable("t", cols))
+        assert te.packed.finite.tolist() == [True, False]
+        assert [c.col_id for c in te.finite_columns] == [0]
+        assert np.isnan(te.columns[1].interval).all()
+        assert all(np.isfinite(v.emb).all() for v in te.columns[1].variants)
+        # the good column encodes as it would on its own
+        assert_columns_close(
+            te.columns[:1], encode_table_reference(DatasetEncoder(cfg), LakeTable("t", cols[:1]))
+        )
 
 
 @pytest.fixture()

@@ -1,13 +1,19 @@
 """Tests for repro.core.matcher (HCMAN analog + MoE gate)."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.chartsim.extractor import extract
+from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
-from repro.config import FCMConfig
-from repro.core.data import LakeTable
-from repro.core.dataset_encoder import DatasetEncoder
-from repro.core.line_encoder import LineChartEncoder
+from repro.config import ALL_OPS, FCMConfig
+from repro.core.data import LakeTable, aggregate_series
+from repro.core.dataset_encoder import ColumnEncoding, DatasetEncoder, TableEncoding
+from repro.core.bipartite import hungarian_max
+from repro.core.dtw import resample
+from repro.core.fcm import make_model
+from repro.core.features import cosine_matrix
+from repro.core.line_encoder import LineChartEncoder, QueryEncoding
 from repro.core.matcher import (
     FEATURES_FULL,
     FEATURES_GLOBAL,
@@ -15,11 +21,98 @@ from repro.core.matcher import (
     filter_columns,
     match_fine,
     match_global,
-    moe_column_score,
     range_iou,
     range_overlap,
-    segment_scores,
 )
+from tests.test_encoders import tables
+
+_GATE_TAU = 12.0
+_RANGE_W = 0.6
+_ID_PRIOR = 0.02
+
+
+# -- the scalar matcher: one cosine matrix per (line, column, variant) --------
+# The oracle for match_fine, which must agree with it to 1e-12 and give the
+# same pairs, inferred operators and kept columns.
+def _range_iou_ref(a, b) -> float:
+    inter = min(a[1], b[1]) - max(a[0], b[0])
+    union = max(a[1], b[1]) - min(a[0], b[0])
+    if union <= 1e-12:
+        return 1.0
+    return float(np.clip(inter / union, 0.0, 1.0))
+
+
+def segment_scores(ev: np.ndarray, et: np.ndarray, tau: float) -> tuple[float, float]:
+    """Segment-level match of one line vs one column variant: ``(score,
+    fwd)``, a blend of max-pooled and attention-pooled similarities in both
+    directions, and the forward attention-pooled similarity."""
+    s = cosine_matrix(ev, et)
+    row_max = s.max(axis=1)
+    col_max = s.max(axis=0)
+    logits = s * tau
+    logits -= logits.max(axis=1, keepdims=True)
+    a = np.exp(logits)
+    a /= a.sum(axis=1, keepdims=True)
+    fwd = float((a * s).sum(axis=1).mean())
+    score = 0.5 * float(row_max.mean()) + 0.3 * fwd + 0.2 * float(col_max.mean())
+    return score, fwd
+
+
+def moe_column_score(ev, col: ColumnEncoding, tau: float, line_range=None):
+    """Line-vs-column score through the MoE gate over operator experts:
+    ``(score, fwd, inferred_op, gate_confidence, range_iou)``."""
+    per_op: dict[str, tuple[float, float, float]] = {}
+    for var in col.variants:
+        sc, fwd = segment_scores(ev, var.emb, tau)
+        iou = _range_iou_ref(line_range, var.value_range) if line_range else 0.0
+        total = sc + _RANGE_W * iou
+        cur = per_op.get(var.op)
+        if cur is None or total > cur[0]:
+            per_op[var.op] = (total, fwd, iou)
+    ops = [op for op in ALL_OPS if op in per_op]
+    scores = np.array([per_op[op][0] for op in ops])
+    scores = scores + np.array([_ID_PRIOR if op == "id" else 0.0 for op in ops])
+    logits = scores * _GATE_TAU
+    logits -= logits.max()
+    g = np.exp(logits)
+    g /= g.sum()
+    score = float((g * scores).sum())
+    fwd = float((g * np.array([per_op[op][1] for op in ops])).sum())
+    best = int(np.argmax(g))
+    return score, fwd, ops[best], float(g[best]), per_op[ops[best]][2]
+
+
+def match_reference(query: QueryEncoding, table: TableEncoding, tau: float):
+    """``(features, pairs, inferred_ops, kept_col_ids)`` by the scalar loop."""
+    cols = filter_columns(query, table)
+    if not cols:
+        return np.zeros(len(FEATURES_FULL)), [], [], []
+    m, nc = query.m, len(cols)
+    line_ranges = [(float(np.min(t)), float(np.max(t))) for t in query.traces]
+    score = np.empty((m, nc))
+    fwd = np.empty((m, nc))
+    op_inf = np.empty((m, nc), dtype=object)
+    conf = np.empty((m, nc))
+    iou = np.empty((m, nc))
+    for i, ev in enumerate(query.line_embs):
+        for j, col in enumerate(cols):
+            score[i, j], fwd[i, j], op_inf[i, j], conf[i, j], iou[i, j] = (
+                moe_column_score(ev, col, tau, line_range=line_ranges[i])
+            )
+    pairs = hungarian_max(score)
+    matched = np.array([score[i, j] for i, j in pairs])
+    feats = np.array(
+        [
+            matched.sum() / m,
+            matched.min() if len(pairs) == m else 0.0,
+            matched.max(),
+            float(np.sum([fwd[i, j] for i, j in pairs])) / m,
+            len(pairs) / m,
+            float(np.sum([iou[i, j] for i, j in pairs])) / m,
+            float(np.mean([conf[i, j] for i, j in pairs])),
+        ]
+    )
+    return feats, pairs, [op_inf[i, j] for i, j in pairs], [c.col_id for c in cols]
 
 
 @pytest.fixture()
@@ -178,6 +271,9 @@ class TestMoEGate:
         assert op in ("id", "avg", "sum", "max", "min")
         assert 0.0 < conf <= 1.0
         assert 0.0 <= iou <= 1.0
+        res = match_fine(q, denc.encode_table(LakeTable("t", [rng.random(400)])), tau=8.0)
+        assert 0.0 < res.features[FEATURES_FULL.index("gate_conf")] <= 1.0
+        assert 0.0 <= res.features[FEATURES_FULL.index("range_overlap")] <= 1.0
 
     def test_infers_aggregation_on_spiky_data(self, encoders):
         """A max-aggregated chart over spiky data must not gate to 'id'."""
@@ -186,8 +282,6 @@ class TestMoEGate:
         col = np.cumsum(rng.standard_normal(400))
         spikes = rng.random(400) < 0.1
         col[spikes] += rng.standard_normal(int(spikes.sum())) * 20
-        from repro.core.data import aggregate_series
-
         agg = aggregate_series(col, "max", 8)
         q = line_enc.encode(extract(render_chart([agg])))
         ce = denc.encode_column(col, 0)
@@ -196,3 +290,72 @@ class TestMoEGate:
             line_range=(float(agg.min()), float(agg.max())),
         )
         assert op != "id"
+        assert match_fine(q, denc.encode_table(LakeTable("t", [col])), tau=8.0).inferred_ops == [op]
+
+
+def _query_for(rng: np.random.Generator, table: LakeTable, m: int) -> ExtractedQuery:
+    """M chart-width lines traced from the table's columns (some aggregated,
+    all slightly noisy), the last one unrelated with probability 0.3."""
+    lines = []
+    for _ in range(m):
+        col = table.columns[rng.integers(table.n_cols)]
+        if rng.random() < 0.5 and col.size >= 8:
+            col = aggregate_series(col, str(rng.choice(ALL_OPS[1:])), int(rng.choice([2, 4, 8])))
+        line = resample(col, 480)
+        lines.append(line + rng.standard_normal(480) * 0.01 * (np.ptp(line) + 1.0))
+    if rng.random() < 0.3:
+        lines[-1] = rng.standard_normal(480) * 100.0
+    lo = min(float(t.min()) for t in lines)
+    hi = max(float(t.max()) for t in lines)
+    return ExtractedQuery(lines=lines, y_range=(lo, hi), raster=None)
+
+
+class TestAgainstReference:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        table=tables(),
+        m=st.integers(1, 9),
+        variant=st.sampled_from(["full", "no_da"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_fine(self, table, m, variant, seed):
+        model = make_model(FCMConfig(), variant)
+        te = model.encode_table(table)
+        q = model.encode_query(_query_for(np.random.default_rng(seed), table, m))
+        with np.errstate(invalid="raise", divide="raise"):
+            res = match_fine(q, te, tau=model.cfg.attn_tau)
+        feats, pairs, ops, kept = match_reference(q, te, tau=model.cfg.attn_tau)
+        np.testing.assert_allclose(res.features, feats, rtol=0, atol=1e-12)
+        assert res.pairs == pairs
+        assert res.inferred_ops == ops
+        assert res.kept_col_ids == kept
+
+
+class TestNonFinite:
+    @pytest.fixture()
+    def model(self):
+        return make_model(FCMConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_column_table_scores_finite(self, model, bad):
+        col = np.cumsum(np.random.default_rng(0).standard_normal(160))
+        col[40] = bad
+        te = model.encode_table(LakeTable("t", [col]))
+        q = model.encode_query(extract(render_chart([np.linspace(2, 8, 50)])))
+        assert filter_columns(q, te) == []
+        assert model.score(q, te) == 0.0
+        assert make_model(FCMConfig(), "no_hcman").score(q, te) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bad_column_scores_like_table_without_it(self, model, bad):
+        rng = np.random.default_rng(1)
+        cols = [np.cumsum(rng.standard_normal(160)) + 10 * i for i in range(3)]
+        dirty = [c.copy() for c in cols]
+        dirty[1][5] = bad
+        q = model.encode_query(extract(render_chart([cols[0], cols[2]])))
+        clean_te = model.encode_table(LakeTable("clean", [cols[0], cols[2]]))
+        dirty_te = model.encode_table(LakeTable("dirty", dirty))
+        assert 1 not in match_fine(q, dirty_te, tau=8.0).kept_col_ids
+        assert model.score(q, dirty_te) == pytest.approx(model.score(q, clean_te), rel=0, abs=1e-12)
