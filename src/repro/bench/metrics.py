@@ -28,19 +28,3 @@ def ndcg_at_k(ranked: list[str], relevant: set[str], k: int) -> float:
         return 0.0
     idcg = float((1.0 / np.log2(np.arange(2, ideal_hits + 2))).sum())
     return dcg / idcg
-
-
-def mean_metrics(
-    per_query: dict[str, tuple[list[str], set[str]]], k: int
-) -> dict[str, float]:
-    """Average prec@k / ndcg@k over queries.
-
-    ``per_query`` maps query_id -> (ranked table ids, relevant set).
-    """
-    if not per_query:
-        return {"prec": 0.0, "ndcg": 0.0}
-    precs, ndcgs = [], []
-    for ranked, rel in per_query.values():
-        precs.append(prec_at_k(ranked, rel, k))
-        ndcgs.append(ndcg_at_k(ranked, rel, k))
-    return {"prec": float(np.mean(precs)), "ndcg": float(np.mean(ndcgs))}

@@ -6,6 +6,8 @@
 * :func:`aggregate_series` — tumbling-window aggregation (Sec. II: avg,
   sum, max, min over a window size), the operator family behind DA-based
   queries.
+* :func:`interval_hulls` — the per-column index interval (Sec. VI-A), the
+  one definition shared by the interval tree and the dataset encoder.
 """
 from __future__ import annotations
 
@@ -47,6 +49,27 @@ def aggregate_series(a: np.ndarray, op: str, window: int) -> np.ndarray:
     return out
 
 
+def interval_hulls(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index interval ``[min(min, sum), max(max, sum)]`` of each row of a
+    ``(C, n)`` column stack (Sec. VI-A).
+
+    The paper indexes each column by the value range any aggregation of
+    it can reach: min under ``min``, sum under ``sum``. When a column has
+    negative values its plain sum can undershoot the min, so the key is
+    the hull of {min, max, sum}. A row with a NaN or ±inf value has no
+    interval: both bounds are NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    finite = np.isfinite(x).all(axis=1)
+    # zero the non-finite rows first, so no reduction sees inf - inf
+    x = np.where(finite[:, None], x, 0.0)
+    total = x.sum(axis=1)
+    lo = np.minimum(x.min(axis=1), total)
+    hi = np.maximum(x.max(axis=1), total)
+    lo[~finite] = hi[~finite] = np.nan
+    return lo, hi
+
+
 @dataclass
 class LakeTable:
     """An in-memory numeric table (the unit of discovery).
@@ -78,21 +101,6 @@ class LakeTable:
     @property
     def n_rows(self) -> int:
         return int(self.columns[0].size)
-
-    def column_intervals(self) -> list[tuple[float, float]]:
-        """Per-column index interval ``[min(C), sum(C)]`` (Sec. VI-A).
-
-        The paper indexes each column by the value range any aggregation
-        of it can reach: min under ``min``, sum under ``sum``. When a
-        column has negative values its plain sum can undershoot the min,
-        so we take the conservative hull of {min, max, sum}.
-        """
-        out = []
-        for c in self.columns:
-            lo = float(min(c.min(), c.sum()))
-            hi = float(max(c.max(), c.sum()))
-            out.append((lo, hi))
-        return out
 
     def perturbed(self, rng: np.random.Generator, lo: float, hi: float, table_id: str) -> "LakeTable":
         """Noise-injected near-duplicate: ``C_new = C * sigma`` with

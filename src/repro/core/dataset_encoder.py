@@ -16,9 +16,9 @@ The MoE gate (Sec. V-D) lives in the matcher: it weighs experts by match
 quality at query time, which is how "infer the most likely aggregation
 operator" is realised here.
 
-Also emits the per-column artefacts the indexes need: the interval
-``[min, sum]`` hull (interval tree, Sec. VI-A) and the mean segment
-embedding (LSH, Sec. VI-A).
+Also emits the per-column artefacts the indexes need: the interval hull
+of :func:`~repro.core.data.interval_hulls` (interval tree, Sec. VI-A) and
+the mean segment embedding (LSH, Sec. VI-A).
 
 A table is encoded as one ``(C, n_rows)`` stack, one featurizer pass per
 (op, window) variant. Its :class:`TableEncoding` also carries the
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import AGG_OPS, ALL_OPS, FCMConfig
-from repro.core.data import LakeTable, aggregate_series
+from repro.core.data import LakeTable, aggregate_series, interval_hulls
 from repro.core.features import (
     Attention,
     Projector,
@@ -215,6 +215,7 @@ class DatasetEncoder:
         cfg = self.cfg
         x = np.vstack(table.columns)
         finite = np.isfinite(x).all(axis=1)
+        hull_lo, hull_hi = interval_hulls(x)
         # a non-finite column is encoded as zeros, so no NaN reaches the
         # stack; the packed finite mask keeps it out of every match
         x[~finite] = 0.0
@@ -247,14 +248,10 @@ class DatasetEncoder:
                         )
                     )
         _, _, _, vmin, vmax = views[0]
-        total = x.sum(axis=1)
         columns = []
         for j in range(x.shape[0]):
-            if finite[j]:
-                interval = (float(min(vmin[j], total[j])), float(max(vmax[j], total[j])))
-                value_range = (float(vmin[j]), float(vmax[j]))
-            else:
-                interval = value_range = (np.nan, np.nan)
+            interval = (float(hull_lo[j]), float(hull_hi[j]))
+            value_range = (float(vmin[j]), float(vmax[j])) if finite[j] else (np.nan, np.nan)
             variants = [
                 ColumnVariant(op, w, emb[j], value_range=(float(lo[j]), float(hi[j])))
                 for op, w, emb, lo, hi in views

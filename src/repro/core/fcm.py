@@ -75,10 +75,6 @@ class FCMModel:
         res = self.match(query, table_enc)
         return self.head(res.features) if res.kept_col_ids else 0.0
 
-    def score_raw(self, eq: ExtractedQuery, table: LakeTable) -> float:
-        """Convenience end-to-end path (encodes both sides on the fly)."""
-        return self.score(self.encode_query(eq), self.encode_table(table))
-
     def infer_operator(self, query: QueryEncoding, table_enc: TableEncoding) -> str:
         """Most likely aggregation operator per the MoE gate (majority
         vote over matched lines)."""

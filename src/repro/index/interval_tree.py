@@ -1,19 +1,16 @@
 """Interval tree index (Sec. VI-A).
 
-Each repository column is indexed by the interval ``[min(C), sum(C)]``
-hull — the value range any supported aggregation of the column can reach
-— and a dataset is a candidate for a query iff at least one of its
-columns' intervals overlaps the query's y-tick range. Because the filter
-is conservative it admits no false negatives, so effectiveness equals a
-linear scan (paper Table VIII).
+Each repository column is indexed by its interval hull
+(:func:`repro.core.data.interval_hulls`: ``[min(min, sum), max(max, sum)]``,
+the value range any supported aggregation of the column can reach), and
+a dataset is a candidate for a query iff at least one of its columns'
+intervals overlaps the query's padded y-tick range. A column with a NaN
+or ±inf value has no interval and is not indexed. Because the filter is
+conservative it admits no false negatives on finite columns, so
+effectiveness equals a linear scan (paper Table VIII).
 
-Two implementations, equivalent by construction and cross-checked in
-tests:
-
-* :class:`IntervalTree` — a classic centered interval tree (driver-side
-  data structure with O(log n + out) overlap queries);
-* :func:`spark_interval_candidates` — the same predicate as a Catalyst
-  range filter over the lake's interval DataFrame.
+:class:`IntervalTree` is a classic centered interval tree, built and
+probed on the driver with O(log n + out) overlap queries.
 """
 from __future__ import annotations
 
@@ -21,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from repro.core.data import LakeTable, interval_hulls
 
 
 @dataclass
@@ -41,7 +40,8 @@ class IntervalTree:
 
     def __post_init__(self) -> None:
         for lo, hi, _ in self.intervals:
-            if hi < lo:
+            # also rejects NaN bounds, which would corrupt the tree
+            if not lo <= hi:
                 raise ValueError(f"invalid interval [{lo}, {hi}]")
         self.root = self._build(list(self.intervals))
 
@@ -99,13 +99,6 @@ class IntervalTree:
             self._query(node.right, qlo, qhi, out)
 
 
-def brute_force_overlaps(
-    intervals: list[tuple[float, float, Any]], qlo: float, qhi: float
-) -> list[Any]:
-    """Reference linear scan (tests)."""
-    return [p for lo, hi, p in intervals if lo <= qhi and hi >= qlo]
-
-
 def pad_query_range(y_range: tuple[float, float], pad: float = 0.25) -> tuple[float, float]:
     """Pad the tick-derived y-range before probing (tick rounding slack)."""
     lo, hi = y_range
@@ -113,14 +106,14 @@ def pad_query_range(y_range: tuple[float, float], pad: float = 0.25) -> tuple[fl
     return lo - pad * span, hi + pad * span
 
 
-def build_table_interval_tree(
-    tables: dict[str, "np.ndarray | Any"]
-) -> IntervalTree:
-    """Index every column interval of every LakeTable; payload=table_id."""
+def build_table_interval_tree(tables: dict[str, LakeTable]) -> IntervalTree:
+    """Index the interval hull of every finite column of every table;
+    payload = table_id."""
     items: list[tuple[float, float, Any]] = []
     for tid, t in tables.items():
-        for lo, hi in t.column_intervals():
-            items.append((lo, hi, tid))
+        lo, hi = interval_hulls(np.vstack(t.columns))
+        keep = ~np.isnan(lo)
+        items.extend((l, h, tid) for l, h in zip(lo[keep].tolist(), hi[keep].tolist()))
     return IntervalTree(items)
 
 
@@ -129,33 +122,3 @@ def interval_tree_candidates(
 ) -> set[str]:
     qlo, qhi = pad_query_range(y_range, pad)
     return set(tree.query(qlo, qhi))
-
-
-def spark_interval_candidates(
-    intervals_df, queries: list[tuple[str, tuple[float, float]]], pad: float = 0.25
-) -> dict[str, set[str]]:
-    """Same filter as a Catalyst range predicate over the lake.
-
-    ``intervals_df`` is lake.repository.interval_df output:
-    (table_id, col_id, lo, hi). Returns query_id -> candidate table ids.
-    """
-    import pandas as pd
-    from pyspark.sql import functions as F
-
-    spark = intervals_df.sparkSession
-    q_rows = []
-    for qid, yr in queries:
-        qlo, qhi = pad_query_range(yr, pad)
-        q_rows.append({"query_id": qid, "qlo": qlo, "qhi": qhi})
-    qdf = spark.createDataFrame(pd.DataFrame(q_rows, columns=["query_id", "qlo", "qhi"]))
-    hits = (
-        intervals_df.crossJoin(qdf)
-        .filter((F.col("lo") <= F.col("qhi")) & (F.col("hi") >= F.col("qlo")))
-        .select("query_id", "table_id")
-        .distinct()
-        .collect()
-    )
-    out: dict[str, set[str]] = {qid: set() for qid, _ in queries}
-    for r in hits:
-        out[r["query_id"]].add(r["table_id"])
-    return out

@@ -8,8 +8,8 @@ SimHash (sign of a random projection) realises the rounded-cosine bit of
 the paper. LSH can prune relevant tables (false negatives), which is the
 source of the small effectiveness drop in Table VIII.
 
-Driver-side index (:class:`LSHIndex`) plus the equivalent Spark band-code
-equi-join (:func:`spark_lsh_candidates`).
+:class:`LSHIndex` is built and probed on the driver; the column
+embeddings it hashes come from the distributed ``embed_repository`` job.
 """
 from __future__ import annotations
 
@@ -52,89 +52,3 @@ class LSHIndex:
 
     def n_items(self) -> int:
         return len({p for tbl in self.buckets for s in tbl.values() for p in s})
-
-
-def collision_probability(cos_sim: float, n_bits: int, n_tables: int) -> float:
-    """Analytic SimHash candidate probability for a given cosine
-    similarity (used by tests as a statistical reference)."""
-    theta = np.arccos(np.clip(cos_sim, -1.0, 1.0))
-    p_bit = 1.0 - theta / np.pi
-    p_table = p_bit**n_bits
-    return 1.0 - (1.0 - p_table) ** n_tables
-
-
-def spark_lsh_candidates(
-    embed_df,
-    query_vecs: list[tuple[str, np.ndarray]],
-    *,
-    n_bits: int = 12,
-    n_tables: int = 6,
-    seed: int = 0,
-) -> dict[str, set[str]]:
-    """LSH candidate generation as a distributed band-code equi-join.
-
-    ``embed_df`` is lake.repository.embed_repository output:
-    (table_id, col_id, emb). Column codes are computed in a pandas UDF;
-    query codes on the driver; candidates come from an inner join on
-    (band, code).
-    """
-    import pandas as pd
-    from pyspark.sql import functions as F
-    from pyspark.sql.types import (
-        IntegerType,
-        LongType,
-        StringType,
-        StructField,
-        StructType,
-    )
-
-    spark = embed_df.sparkSession
-    first = embed_df.select("emb").first()
-    if first is None:
-        return {qid: set() for qid, _ in query_vecs}
-    dim = len(first["emb"])
-    index = LSHIndex(dim, n_bits=n_bits, n_tables=n_tables, seed=seed)
-    planes_bc = spark.sparkContext.broadcast(index.planes)
-
-    schema = StructType(
-        [
-            StructField("table_id", StringType(), False),
-            StructField("band", IntegerType(), False),
-            StructField("code", LongType(), False),
-        ]
-    )
-
-    def code_rows(batches):
-        weights = 1 << np.arange(n_bits, dtype=np.int64)
-        for pdf in batches:
-            rows = []
-            for _, row in pdf.iterrows():
-                v = np.asarray(row["emb"], dtype=np.float64)
-                bits = (np.einsum("tbd,d->tb", planes_bc.value, v) >= 0).astype(np.int64)
-                for band, b in enumerate(bits):
-                    rows.append(
-                        {
-                            "table_id": row["table_id"],
-                            "band": band,
-                            "code": int(b @ weights),
-                        }
-                    )
-            yield pd.DataFrame(rows, columns=["table_id", "band", "code"])
-
-    codes_df = embed_df.mapInPandas(code_rows, schema=schema).distinct()
-
-    q_rows = []
-    for qid, vec in query_vecs:
-        for band, code in enumerate(index.codes(np.asarray(vec))):
-            q_rows.append({"query_id": qid, "band": band, "code": code})
-    qdf = spark.createDataFrame(pd.DataFrame(q_rows, columns=["query_id", "band", "code"]))
-    hits = (
-        codes_df.join(qdf, on=["band", "code"])
-        .select("query_id", "table_id")
-        .distinct()
-        .collect()
-    )
-    out: dict[str, set[str]] = {qid: set() for qid, _ in query_vecs}
-    for r in hits:
-        out[r["query_id"]].add(r["table_id"])
-    return out

@@ -1,13 +1,12 @@
 """The data lake as Spark DataFrames.
 
 The repository lives in long format — one row per column:
-``(table_id, col_id, values ARRAY<DOUBLE>)`` — with column statistics
-(min / max / sum / length) computed by Catalyst higher-order functions,
-not UDFs, so they are oracle-checkable SQL. Segment/column embeddings are
+``(table_id, col_id, values ARRAY<DOUBLE>)``. Column embeddings are
 precomputed with ``mapInPandas`` (the distributed-dataflow core of this
 reproduction): each executor slice featurizes its columns with the
 dataset encoder and emits column-level embedding vectors for the LSH
-index.
+index. The interval-tree keys are not computed here; the driver builds
+them with :func:`repro.core.data.interval_hulls`.
 
 Also provides TPC-H-lite derived chartable tables (daily order/lineitem
 aggregates via Spark SQL) that join the repository as realistic
@@ -20,7 +19,6 @@ from typing import Iterable, Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import (
     ArrayType,
     DoubleType,
@@ -64,31 +62,6 @@ def repository_df(spark: SparkSession, tables: dict[str, LakeTable] | Iterable[L
     """The repository as a Spark DataFrame (long format)."""
     pdf = tables_to_pdf(tables)
     return spark.createDataFrame(pdf, schema=COLUMNS_SCHEMA)
-
-
-def with_column_stats(df: DataFrame) -> DataFrame:
-    """Append Catalyst-computed per-column stats: n_rows, vmin, vmax, vsum."""
-    return (
-        df.withColumn("n_rows", F.size("values"))
-        .withColumn("vmin", F.array_min("values"))
-        .withColumn("vmax", F.array_max("values"))
-        .withColumn(
-            "vsum",
-            F.aggregate("values", F.lit(0.0), lambda acc, x: acc + x),
-        )
-    )
-
-
-def interval_df(df: DataFrame) -> DataFrame:
-    """Per-column index intervals ``[lo, hi] = hull(min, max, sum)``
-    (Sec. VI-A interval-tree keys) as a Catalyst projection."""
-    stats = with_column_stats(df)
-    return stats.select(
-        "table_id",
-        "col_id",
-        F.least("vmin", "vsum").alias("lo"),
-        F.greatest("vmax", "vsum").alias("hi"),
-    )
 
 
 def iter_tables(pdf: pd.DataFrame) -> Iterator[LakeTable]:

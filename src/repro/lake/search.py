@@ -3,9 +3,11 @@
 The scan+similarity-match core: a broadcast query payload is scored
 against every repository table with ``applyInPandas`` grouped by
 ``table_id`` (each table is encoded once and scored against *all*
-queries), then top-k and the prec/ndcg aggregation run as Spark SQL
-window functions. The DuckDB oracle cross-checks the relational parts in
-tests.
+queries), and top-k is a Spark SQL window function whose ranking the
+DuckDB oracle cross-checks in tests. The ground truth Rel(D, T) is
+scored the same way with ``mapInPandas`` per ``table_id`` partition.
+prec@k and ndcg@k are computed on the driver from the collected
+rankings (``repro.bench.metrics``).
 """
 from __future__ import annotations
 
@@ -145,65 +147,3 @@ def ranked_topk(scores: DataFrame, k: int) -> dict[str, list[str]]:
     for r in rows:
         out.setdefault(r["query_id"], []).append((r["rank"], r["table_id"]))
     return {q: [t for _, t in sorted(v)] for q, v in out.items()}
-
-
-def metrics_df(
-    spark: SparkSession,
-    scores: DataFrame,
-    ground_truth: dict[str, list[str]],
-    k: int,
-) -> DataFrame:
-    """Per-query prec@k and ndcg@k computed in Spark SQL.
-
-    Binary relevance against the ground-truth set; ndcg uses the standard
-    log2 positional discount with ideal DCG of min(k, |relevant|) hits.
-    """
-    gt_rows = [
-        {"query_id": q, "table_id": t}
-        for q, tids in ground_truth.items()
-        for t in tids
-    ]
-    gt = spark.createDataFrame(pd.DataFrame(gt_rows, columns=["query_id", "table_id"]))
-    top = topk_df(scores, k).alias("s")
-    joined = top.join(
-        gt.withColumn("rel", F.lit(1.0)).alias("g"),
-        on=["query_id", "table_id"],
-        how="left",
-    ).withColumn("rel", F.coalesce("rel", F.lit(0.0)))
-    gains = joined.withColumn(
-        "gain", F.col("rel") / F.log2(F.col("rank") + F.lit(1.0))
-    )
-    idcg = {
-        q: float(np.sum(1.0 / np.log2(np.arange(2, min(k, len(t)) + 2))))
-        for q, t in ground_truth.items()
-    }
-    idcg_df = spark.createDataFrame(
-        pd.DataFrame(
-            [{"query_id": q, "idcg": v} for q, v in idcg.items()],
-            columns=["query_id", "idcg"],
-        )
-    )
-    return (
-        gains.groupBy("query_id")
-        .agg(
-            (F.sum("rel") / F.lit(float(k))).alias("prec"),
-            F.sum("gain").alias("dcg"),
-        )
-        .join(idcg_df, on="query_id")
-        .withColumn("ndcg", F.col("dcg") / F.col("idcg"))
-        .select("query_id", "prec", "ndcg")
-    )
-
-
-def evaluate_scores(
-    spark: SparkSession,
-    scores: DataFrame,
-    ground_truth: dict[str, list[str]],
-    k: int,
-) -> dict[str, float]:
-    """Mean prec@k / ndcg@k over queries (Spark-side aggregation)."""
-    per_q = metrics_df(spark, scores, ground_truth, k)
-    row = per_q.agg(
-        F.avg("prec").alias("prec"), F.avg("ndcg").alias("ndcg")
-    ).collect()[0]
-    return {"prec": float(row["prec"] or 0.0), "ndcg": float(row["ndcg"] or 0.0)}

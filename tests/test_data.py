@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.data import LakeTable, aggregate_series
+from repro.core.data import LakeTable, aggregate_series, interval_hulls
 
 
 class TestAggregateSeries:
@@ -85,14 +85,19 @@ class TestLakeTable:
 
     def test_column_intervals_hull(self):
         # min=-5, max=3, sum=-3 -> hull [-5, 3]
-        t = LakeTable("t", [np.array([-5.0, 3.0, -1.0])])
-        (lo, hi), = t.column_intervals()
+        (lo,), (hi,) = interval_hulls(np.array([[-5.0, 3.0, -1.0]]))
         assert lo == -5.0 and hi == 3.0
 
     def test_column_intervals_sum_dominates(self):
-        t = LakeTable("t", [np.array([1.0, 2.0, 3.0])])
-        (lo, hi), = t.column_intervals()
+        (lo,), (hi,) = interval_hulls(np.array([[1.0, 2.0, 3.0]]))
         assert lo == 1.0 and hi == 6.0
+
+    def test_column_intervals_non_finite_is_nan(self):
+        x = np.array([[1.0, np.nan, 3.0], [1.0, 2.0, np.inf], [-np.inf, np.inf, 0.0], [0.0, 1.0, 2.0]])
+        with np.errstate(invalid="raise", over="raise"):
+            lo, hi = interval_hulls(x)
+        assert np.isnan(lo[:3]).all() and np.isnan(hi[:3]).all()
+        assert (lo[3], hi[3]) == (0.0, 3.0)
 
     def test_perturbed_within_bounds(self):
         rng = np.random.default_rng(0)

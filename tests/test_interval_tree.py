@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from repro.core.data import LakeTable
 from repro.index.interval_tree import (
     IntervalTree,
-    brute_force_overlaps,
     build_table_interval_tree,
     interval_tree_candidates,
     pad_query_range,
 )
+
+
+def brute_force_overlaps(intervals, qlo, qhi):
+    """Reference linear scan: payloads of all intervals meeting [qlo, qhi]."""
+    return [p for lo, hi, p in intervals if lo <= qhi and hi >= qlo]
 
 
 class TestIntervalTree:
@@ -38,6 +42,11 @@ class TestIntervalTree:
     def test_invalid_interval_raises(self):
         with pytest.raises(ValueError):
             IntervalTree([(10, 0, "x")])
+
+    @pytest.mark.parametrize("lo,hi", [(np.nan, np.nan), (np.nan, 1.0), (0.0, np.nan)])
+    def test_nan_interval_raises(self, lo, hi):
+        with pytest.raises(ValueError):
+            IntervalTree([(0.0, 10.0, "a"), (lo, hi, "x")])
 
     def test_reversed_query_raises(self):
         tree = IntervalTree([(0, 1, "a")])
@@ -110,3 +119,18 @@ class TestTableIndexing:
         lo, hi = pad_query_range((0.0, 10.0), pad=0.1)
         assert lo == pytest.approx(-1.0)
         assert hi == pytest.approx(11.0)
+
+    def test_non_finite_columns_not_indexed(self):
+        """A NaN or ±inf column has no interval; it must neither enter the
+        tree nor corrupt the probes of the finite columns."""
+        tables = {
+            "fin": LakeTable("fin", [np.arange(5.0)]),  # interval [0, 10]
+            "nan": LakeTable("nan", [np.array([1.0, np.nan, 3.0])]),
+            "inf": LakeTable("inf", [np.array([1.0, 2.0, np.inf])]),
+            "mix": LakeTable("mix", [np.array([1.0, np.nan, 3.0]), np.array([100.0, 101.0, 102.0])]),
+        }
+        tree = build_table_interval_tree(tables)
+        assert tree.intervals == [(0.0, 10.0, "fin"), (100.0, 303.0, "mix")]
+        assert tree.query(-1e9, -1e9 + 1) == []
+        assert tree.query(5.0, 6.0) == ["fin"]
+        assert tree.query(200.0, 400.0) == ["mix"]

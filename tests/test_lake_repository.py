@@ -5,19 +5,17 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.config import FCMConfig
-from repro.core.data import LakeTable
+from repro.core.data import LakeTable, interval_hulls
 from repro.lake.repository import (
     ORDERS_DAILY_SQL,
     TPCH_DAILY_SQL,
     embed_repository,
-    interval_df,
     iter_tables,
     orders_daily_df,
     repository_df,
     tables_to_pdf,
     tpch_daily_df,
     tpch_derived_tables,
-    with_column_stats,
 )
 from repro.oracle import assert_equivalent
 from repro import synth_data
@@ -49,41 +47,19 @@ class TestRepositoryDF:
         for tid, t in tables.items():
             np.testing.assert_allclose(back[tid].columns[0], t.columns[0])
 
-    def test_column_stats_vs_oracle(self, spark, repo, tables):
-        """min/max/sum/size computed by Catalyst == DuckDB over exploded rows."""
-        stats = with_column_stats(repo).select(
-            "table_id", "col_id", "n_rows", "vmin", "vmax", "vsum"
-        )
-        # oracle input: exploded long format (scalar columns only)
-        exploded = []
+    def test_interval_df_hull_vs_oracle(self, spark, tables):
+        """The interval-tree keys (``interval_hulls``) == DuckDB's
+        LEAST(MIN, SUM) / GREATEST(MAX, SUM) over exploded rows."""
+        hulls, exploded = [], []
         for tid, t in tables.items():
+            lo, hi = interval_hulls(np.vstack(t.columns))
             for ci, col in enumerate(t.columns):
+                hulls.append({"table_id": tid, "col_id": ci, "lo": lo[ci], "hi": hi[ci]})
                 for v in col:
                     exploded.append({"table_id": tid, "col_id": ci, "v": float(v)})
         cells = pd.DataFrame(exploded)
         assert_equivalent(
-            stats,
-            """
-            SELECT table_id, col_id,
-                   COUNT(*)::INT AS n_rows,
-                   MIN(v)  AS vmin,
-                   MAX(v)  AS vmax,
-                   SUM(v)  AS vsum
-            FROM cells GROUP BY table_id, col_id
-            """,
-            cells=cells,
-        )
-
-    def test_interval_df_hull_vs_oracle(self, spark, repo, tables):
-        ivals = interval_df(repo)
-        exploded = []
-        for tid, t in tables.items():
-            for ci, col in enumerate(t.columns):
-                for v in col:
-                    exploded.append({"table_id": tid, "col_id": ci, "v": float(v)})
-        cells = pd.DataFrame(exploded)
-        assert_equivalent(
-            ivals,
+            spark.createDataFrame(pd.DataFrame(hulls)),
             """
             SELECT table_id, col_id,
                    LEAST(MIN(v), SUM(v))    AS lo,
@@ -92,17 +68,6 @@ class TestRepositoryDF:
             """,
             cells=cells,
         )
-
-    def test_interval_matches_laketable(self, repo, tables):
-        got = {
-            (r["table_id"], r["col_id"]): (r["lo"], r["hi"])
-            for r in interval_df(repo).collect()
-        }
-        for tid, t in tables.items():
-            for ci, (lo, hi) in enumerate(t.column_intervals()):
-                glo, ghi = got[(tid, ci)]
-                assert glo == pytest.approx(lo)
-                assert ghi == pytest.approx(hi)
 
 
 class TestEmbedRepository:

@@ -6,13 +6,10 @@ from pyspark.sql import functions as F
 
 from repro.baselines.cml import CML
 from repro.bench.benchmark import build_benchmark
-from repro.bench.metrics import ndcg_at_k, prec_at_k
 from repro.config import tiny_benchmark_config
 from repro.core.fcm import make_model
 from repro.bench.harness import FCMMethod
 from repro.lake.search import (
-    evaluate_scores,
-    metrics_df,
     ranked_topk,
     score_with_method,
     topk_df,
@@ -127,23 +124,3 @@ class TestTopK:
         for v in ranked.values():
             assert len(v) == bench.cfg.k
             assert len(set(v)) == len(v)
-
-
-class TestMetricsDF:
-    def test_matches_python_metrics(self, spark, cml_scores, bench):
-        """Spark-SQL prec/ndcg == the pure-python reference metrics."""
-        k = bench.cfg.k
-        per_q = {
-            r["query_id"]: (r["prec"], r["ndcg"])
-            for r in metrics_df(spark, cml_scores, bench.ground_truth, k).collect()
-        }
-        ranked = ranked_topk(cml_scores, k)
-        for qid, lst in ranked.items():
-            rel = set(bench.ground_truth[qid])
-            assert per_q[qid][0] == pytest.approx(prec_at_k(lst, rel, k))
-            assert per_q[qid][1] == pytest.approx(ndcg_at_k(lst, rel, k))
-
-    def test_evaluate_scores_bounds(self, spark, cml_scores, bench):
-        out = evaluate_scores(spark, cml_scores, bench.ground_truth, bench.cfg.k)
-        assert 0.0 <= out["prec"] <= 1.0
-        assert 0.0 <= out["ndcg"] <= 1.0

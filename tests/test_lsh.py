@@ -2,7 +2,16 @@
 import numpy as np
 import pytest
 
-from repro.index.lsh import LSHIndex, collision_probability
+from repro.index.lsh import LSHIndex
+
+
+def collision_probability(cos_sim: float, n_bits: int, n_tables: int) -> float:
+    """Analytic SimHash candidate probability for a given cosine
+    similarity: a statistical reference for the index."""
+    theta = np.arccos(np.clip(cos_sim, -1.0, 1.0))
+    p_bit = 1.0 - theta / np.pi
+    p_table = p_bit**n_bits
+    return 1.0 - (1.0 - p_table) ** n_tables
 
 
 @pytest.fixture()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.metrics import mean_metrics, ndcg_at_k, prec_at_k
+from repro.bench.metrics import ndcg_at_k, prec_at_k
 
 
 class TestPrecAtK:
@@ -50,16 +50,3 @@ class TestNdcgAtK:
         rel = set(rng.choice(ids, 5, replace=False).tolist())
         v = ndcg_at_k(ids, rel, 10)
         assert 0.0 <= v <= 1.0
-
-
-class TestMeanMetrics:
-    def test_averages(self):
-        per_query = {
-            "q1": (["a", "b"], {"a", "b"}),
-            "q2": (["x", "y"], {"a", "b"}),
-        }
-        out = mean_metrics(per_query, 2)
-        assert out["prec"] == pytest.approx(0.5)
-
-    def test_empty(self):
-        assert mean_metrics({}, 5) == {"prec": 0.0, "ndcg": 0.0}
