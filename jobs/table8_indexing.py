@@ -3,12 +3,15 @@
 Builds the interval tree and the LSH index over the lake (column
 embeddings from the distributed ``embed_repository`` job), generates
 per-query candidate sets under each strategy (none / interval / lsh /
-hybrid), and measures the wall-clock of the Spark scoring stage. The
+hybrid), and measures the wall-clock of the Spark scoring stage over
+the resident encoded repository, which is built once beforehand. The
 reproduced shape: interval == scan effectiveness with ~the candidate
 ratio speedup; LSH/hybrid trade a small effectiveness drop for much
 larger speedups.
 """
 from __future__ import annotations
+
+import time
 
 import numpy as np
 from _common import setup, trained_fcm
@@ -16,7 +19,8 @@ from _common import setup, trained_fcm
 from repro.bench.harness import FCMMethod, overall_metrics, run_method
 from repro.bench.tables import PAPER_TABLE8
 from repro.index.hybrid import STRATEGIES, build_hybrid_index, query_line_embeddings
-from repro.lake.repository import embed_repository, repository_df
+from repro.lake.repository import embed_repository
+from repro.lake.resident import resident_encodings, resident_repository
 
 
 def run(spark, bench) -> dict:
@@ -24,7 +28,7 @@ def run(spark, bench) -> dict:
     method = FCMMethod(model)
 
     # distributed column-embedding job feeds the LSH index
-    repo_df = repository_df(spark, bench.repository)
+    repo_df = resident_repository(spark, bench.repository)
     emb_rows = embed_repository(repo_df, bench.cfg.fcm).collect()
     column_embs = {
         (r["table_id"], r["col_id"]): np.asarray(r["emb"]) for r in emb_rows
@@ -36,6 +40,12 @@ def run(spark, bench) -> dict:
         bench.repository, column_embs, n_bits=24, n_tables=4, seed=bench.cfg.seed
     )
     print(f"[table8] index build seconds: {index.build_seconds}", flush=True)
+
+    # the offline step (Sec. VI): every table encoded once, so each
+    # strategy's seconds below time scoring only
+    t0 = time.perf_counter()
+    resident_encodings(spark, bench.repository, method)
+    print(f"[table8] offline encode seconds: {time.perf_counter() - t0}", flush=True)
 
     q_encs = {q.query_id: model.encode_query(q.extracted) for q in bench.queries}
     out = {}

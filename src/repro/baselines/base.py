@@ -3,16 +3,24 @@
 Every retrieval method — FCM variants and all baselines — implements:
 
 * ``prepare_query(extracted)``: one-off query-side preprocessing;
-* ``encode_table(table)``: repository-side encoding (done once per table,
-  amortised over all queries inside a Spark partition);
+* ``encode_table(table)``: repository-side encoding (done once per table
+  for a lake and method state, and kept resident in Spark:
+  ``repro.lake.resident``);
 * ``score(query_prep, table_enc)``: the relevance estimate Rel'(V, T).
 
+A baseline scores only a table's finite columns (:func:`finite_column_ids`)
+and gives a table with none 0.0, as FCM does, so a NaN or ±inf cell never
+reaches a score.
+
 Instances must be picklable (numpy only) so the harness can broadcast
-them to executors.
+them to executors; their pickle also keys the resident encodings, and so
+must change whenever ``encode_table``'s output would.
 """
 from __future__ import annotations
 
 from typing import Any
+
+import numpy as np
 
 from repro.chartsim.extractor import ExtractedQuery
 from repro.core.data import LakeTable
@@ -33,3 +41,8 @@ class Method:
     def score_raw(self, eq: ExtractedQuery, table: LakeTable) -> float:
         """Convenience end-to-end scoring (tests / tiny scale)."""
         return self.score(self.prepare_query(eq), self.encode_table(table))
+
+
+def finite_column_ids(table: LakeTable) -> list[int]:
+    """Indices of the table's columns with no NaN or ±inf value."""
+    return [i for i, c in enumerate(table.columns) if np.isfinite(c).all()]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import Method
+from repro.baselines.base import Method, finite_column_ids
 from repro.chartsim.extractor import ExtractedQuery
 from repro.config import FCMConfig
 from repro.core.data import LakeTable
@@ -52,9 +52,12 @@ class CML(Method):
         return self.attention(vecs).mean(axis=0), (lo, hi)
 
     def encode_table(self, table: LakeTable):
-        vecs = _global_embed(np.vstack(table.columns), self.projector)
-        lo = min(float(c.min()) for c in table.columns)
-        hi = max(float(c.max()) for c in table.columns)
+        cols = [table.columns[i] for i in finite_column_ids(table)]
+        if not cols:
+            return None
+        vecs = _global_embed(np.vstack(cols), self.projector)
+        lo = min(float(c.min()) for c in cols)
+        hi = max(float(c.max()) for c in cols)
         return self.attention(vecs).mean(axis=0), (lo, hi)
 
     def score(self, query_prep, table_enc) -> float:
@@ -62,6 +65,8 @@ class CML(Method):
         captures absolute value location through the tick channel, so the
         untrained analog gets the equivalent global (not fine-grained)
         value signal."""
+        if table_enc is None:
+            return 0.0
         qv, qr = query_prep
         tv, tr = table_enc
         num = float(np.dot(qv, tv))

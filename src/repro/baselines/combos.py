@@ -15,9 +15,11 @@ the candidate-side charts are rendered from raw (non-aggregated) columns.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.baselines.base import Method
+from repro.baselines.base import Method, finite_column_ids
 from repro.baselines.deepeye import recommend
 from repro.baselines.linenet import embed_raster, linenet_similarity
 from repro.chartsim.extractor import ExtractedQuery
@@ -46,6 +48,11 @@ class DeepEyeLineNet(Method):
         return embed_raster(eq.raster)
 
     def encode_table(self, table: LakeTable) -> list[np.ndarray]:
+        keep = finite_column_ids(table)
+        if not keep:
+            return []
+        if len(keep) < table.n_cols:
+            table = LakeTable(table.table_id, [table.columns[i] for i in keep])
         embs = []
         for spec in recommend(table, self.n_charts):
             e = _render_embed(table, spec, self.cfg)
@@ -55,7 +62,7 @@ class DeepEyeLineNet(Method):
 
     def score(self, query_prep: np.ndarray, table_enc: list[np.ndarray]) -> float:
         if not table_enc:
-            return -1.0
+            return 0.0
         return max(linenet_similarity(query_prep, e) for e in table_enc)
 
 
@@ -76,13 +83,17 @@ class OptLineNet(Method):
         return embed_raster(eq.raster)
 
     def encode_table(self, table: LakeTable) -> list[np.ndarray]:
+        keep = finite_column_ids(table)
         spec = self.specs.get(table.table_id)
         if spec is None:
-            spec = VisSpec(y_cols=tuple(range(min(3, table.n_cols))))
-        e = _render_embed(table, spec, self.cfg)
+            spec = VisSpec(y_cols=tuple(keep[:3]))
+        y_cols = tuple(c for c in spec.y_cols if c in keep)
+        if not y_cols:
+            return []
+        e = _render_embed(table, replace(spec, y_cols=y_cols), self.cfg)
         return [e] if e is not None else []
 
     def score(self, query_prep: np.ndarray, table_enc: list[np.ndarray]) -> float:
         if not table_enc:
-            return -1.0
+            return 0.0
         return max(linenet_similarity(query_prep, e) for e in table_enc)

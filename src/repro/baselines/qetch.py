@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import Method
+from repro.baselines.base import Method, finite_column_ids
 from repro.chartsim.extractor import ExtractedQuery
 from repro.core.bipartite import hungarian_max, matching_weight
 from repro.core.data import LakeTable
@@ -61,7 +61,7 @@ class QetchStar(Method):
         return [np.asarray(t, dtype=np.float64) for t in eq.lines]
 
     def encode_table(self, table: LakeTable) -> list[np.ndarray]:
-        return [c for c in table.columns]
+        return [table.columns[i] for i in finite_column_ids(table)]
 
     def score(self, query_prep: list[np.ndarray], table_enc: list[np.ndarray]) -> float:
         m, nc = len(query_prep), len(table_enc)

@@ -89,6 +89,8 @@ class LakeTable:
         lens = {c.size for c in self.columns}
         if len(lens) != 1:
             raise ValueError(f"table {self.table_id}: ragged columns {lens}")
+        if 0 in lens:
+            raise ValueError(f"table {self.table_id}: columns have no rows")
         if not self.names:
             self.names = [f"c{i}" for i in range(len(self.columns))]
         if len(self.names) != len(self.columns):

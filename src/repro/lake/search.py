@@ -1,16 +1,19 @@
 """Distributed query scoring and ranking over the lake.
 
-The scan+similarity-match core: a broadcast query payload is scored
-against every repository table with ``applyInPandas`` grouped by
-``table_id`` (each table is encoded once and scored against *all*
-queries), and top-k is a Spark SQL window function whose ranking the
-DuckDB oracle cross-checks in tests. The ground truth Rel(D, T) is
-scored the same way with ``mapInPandas`` per ``table_id`` partition.
-prec@k and ndcg@k are computed on the driver from the collected
-rankings (``repro.bench.metrics``).
+The scan+similarity-match core: a broadcast query payload is scored with
+``mapInPandas`` over the resident encoded repository
+(``repro.lake.resident``), one partition per core. Every table was
+encoded once per lake and method; a request unpickles each candidate
+table's encoding and scores it against *all* queries, and index pruning
+is a ``table_id IN (...)`` filter on the artefact. Top-k is a Spark SQL
+window function whose ranking the DuckDB oracle cross-checks in tests.
+The ground truth Rel(D, T) is scored with ``mapInPandas`` over the
+resident raw repository. prec@k and ndcg@k are computed on the driver
+from the collected rankings (``repro.bench.metrics``).
 """
 from __future__ import annotations
 
+import pickle
 from typing import Iterator
 
 import numpy as np
@@ -26,7 +29,9 @@ from pyspark.sql.types import (
 from pyspark.sql.window import Window
 
 from repro.baselines.base import Method
-from repro.lake.repository import iter_tables, repository_df
+from repro.core.data import LakeTable
+from repro.lake.repository import iter_tables
+from repro.lake.resident import resident_encodings, resident_repository
 
 SCORES_SCHEMA = StructType(
     [
@@ -40,17 +45,14 @@ SCORES_SCHEMA = StructType(
 def spark_ground_truth(spark: SparkSession, bench) -> dict[str, list[str]]:
     """Ground-truth Rel(D, T) top-k per query, distributed over tables.
 
-    Each partition of the ``table_id``-partitioned repository is scored in
-    one :func:`rel_scores` call, all queries against all of its tables, so
-    the DTW kernel's stacks span the whole partition.
+    Each partition of the resident repository is scored in one
+    :func:`rel_scores` call, all queries against all of its tables, so the
+    DTW kernel's stacks span the whole partition.
     """
     from repro.core.relevance import rel_scores
 
     payload = [(q.query_id, [np.asarray(d) for d in q.data]) for q in bench.queries]
     bc = spark.sparkContext.broadcast(payload)
-    repo = repository_df(spark, bench.repository).repartition(
-        max(spark.sparkContext.defaultParallelism * 2, 8), "table_id"
-    )
 
     def score_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         # a table's columns may span Arrow batches, never partitions
@@ -68,60 +70,52 @@ def spark_ground_truth(spark: SparkSession, bench) -> dict[str, list[str]]:
             }
         )
 
+    repo = resident_repository(spark, bench.repository)
     scores = repo.mapInPandas(score_partition, schema=SCORES_SCHEMA)
     return ranked_topk(scores, bench.cfg.k)
 
 
 def score_with_method(
     spark: SparkSession,
-    repository,
+    repository: dict[str, LakeTable],
     queries,
     method: Method,
     *,
     candidates: dict[str, set[str]] | None = None,
-    repo_df: DataFrame | None = None,
 ) -> DataFrame:
     """Score every (query, table) pair with ``method``.
 
-    ``candidates`` optionally restricts scoring per query (index pruning,
-    Sec. VI-A): table_ids absent from a query's candidate set are skipped.
-    Returns a DataFrame (query_id, table_id, score).
+    Tables are read already encoded from the resident artefact
+    (:func:`resident_encodings`; the first call for a lake and method
+    builds it), so a request only scores. ``candidates`` optionally
+    restricts scoring per query (index pruning, Sec. VI-A): table_ids
+    absent from a query's candidate set are skipped. Returns a DataFrame
+    (query_id, table_id, score).
     """
+    encoded = resident_encodings(spark, repository, method)
+    if candidates is not None:
+        # index pruning: only read the tables some query still needs —
+        # this is where the Table VIII speedup comes from
+        union = set().union(*candidates.values())
+        encoded = encoded.filter(F.col("table_id").isin(sorted(union)))
     preps = [(q.query_id, method.prepare_query(q.extracted)) for q in queries]
     bc = spark.sparkContext.broadcast((method, preps, candidates))
-    if repo_df is None:
-        if candidates is not None:
-            # index pruning: only ship tables some query still needs —
-            # this is where the Table VIII speedup comes from
-            union = set().union(*candidates.values()) if candidates else set()
-            repository = {
-                tid: t for tid, t in dict(repository).items() if tid in union
-            }
-        repo_df = repository_df(spark, repository)
-    repo_df = repo_df.repartition(
-        max(spark.sparkContext.defaultParallelism * 2, 8), "table_id"
-    )
 
-    def score_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    def score_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         mth, q_preps, cands = bc.value
-        rows = []
-        for table in iter_tables(pdf):
-            enc = None
-            for qid, prep in q_preps:
-                if cands is not None and table.table_id not in cands.get(qid, ()):
-                    continue
-                if enc is None:
-                    enc = mth.encode_table(table)
-                rows.append(
-                    {
-                        "query_id": qid,
-                        "table_id": table.table_id,
-                        "score": float(mth.score(prep, enc)),
-                    }
-                )
-        return pd.DataFrame(rows, columns=["query_id", "table_id", "score"])
+        for pdf in batches:
+            qids, tids, scores = [], [], []
+            for tid, blob in zip(pdf["table_id"], pdf["enc"]):
+                enc = pickle.loads(blob)
+                for qid, prep in q_preps:
+                    if cands is not None and tid not in cands.get(qid, ()):
+                        continue
+                    qids.append(qid)
+                    tids.append(tid)
+                    scores.append(float(mth.score(prep, enc)))
+            yield pd.DataFrame({"query_id": qids, "table_id": tids, "score": scores})
 
-    return repo_df.groupBy("table_id").applyInPandas(score_group, schema=SCORES_SCHEMA)
+    return encoded.mapInPandas(score_partition, schema=SCORES_SCHEMA)
 
 
 def topk_df(scores: DataFrame, k: int) -> DataFrame:

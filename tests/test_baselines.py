@@ -143,3 +143,36 @@ class TestCombos:
         for m in (CML(), QetchStar(), DeepEyeLineNet(), OptLineNet({"src": spec})):
             m2 = pickle.loads(pickle.dumps(m))
             assert m2.score_raw(eq, src) == pytest.approx(m.score_raw(eq, src))
+
+
+METHODS = {
+    "CML": CML,
+    "Qetch*": QetchStar,
+    "DE-LN": DeepEyeLineNet,
+    "Opt-LN": lambda: OptLineNet({}),
+}
+BAD_CELLS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CELLS))
+@pytest.mark.parametrize("name", sorted(METHODS))
+class TestNonFiniteColumns:
+    """A baseline scores only a table's finite columns; a table with none
+    scores 0.0."""
+
+    def test_bad_column_is_ignored(self, world, name, bad):
+        src, _, _, eq = world
+        col = np.linspace(0.0, 1.0, src.n_rows)
+        col[7] = BAD_CELLS[bad]
+        dirty = LakeTable("src", [src.columns[0], col, src.columns[1]])
+        m = METHODS[name]()
+        got = m.score_raw(eq, dirty)
+        assert np.isfinite(got)
+        assert got == m.score_raw(eq, src)
+
+    def test_all_bad_table_scores_zero(self, world, name, bad):
+        src, _, _, eq = world
+        cols = [c.copy() for c in src.columns]
+        cols[0][3] = BAD_CELLS[bad]
+        cols[1][-1] = np.nan
+        assert METHODS[name]().score_raw(eq, LakeTable("src", cols)) == 0.0

@@ -79,6 +79,11 @@ class TestLakeTable:
         with pytest.raises(ValueError):
             LakeTable("t", [])
 
+    @pytest.mark.parametrize("columns", [[np.array([])], [[], []]], ids=["one", "two"])
+    def test_zero_row_columns_raise(self, columns):
+        with pytest.raises(ValueError, match="no rows"):
+            LakeTable("t", columns)
+
     def test_names_mismatch_raises(self):
         with pytest.raises(ValueError):
             LakeTable("t", [np.ones(3)], names=["a", "b"])

@@ -1,14 +1,18 @@
-"""Spark tests for repro.lake.search (distributed scoring, top-k, metrics)."""
-import numpy as np
+"""Spark tests for repro.lake.search and repro.lake.resident: distributed
+scoring, the resident lake, top-k."""
+from types import SimpleNamespace
+
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
+from pyspark import StorageLevel
 
 from repro.baselines.cml import CML
 from repro.bench.benchmark import build_benchmark
 from repro.config import tiny_benchmark_config
 from repro.core.fcm import make_model
 from repro.bench.harness import FCMMethod
+from repro.core.data import LakeTable
+from repro.lake.resident import resident_encodings, resident_repository
 from repro.lake.search import (
     ranked_topk,
     score_with_method,
@@ -21,6 +25,21 @@ from repro.oracle import assert_equivalent
 def bench(spark):
     cfg = tiny_benchmark_config(seed=21)
     return build_benchmark(cfg, spark=spark)
+
+
+def driver_scores(method, tables, queries) -> dict[tuple[str, str], float]:
+    """Every (query, table) score computed on the driver, no Spark."""
+    encs = {tid: method.encode_table(t) for tid, t in tables.items()}
+    return {
+        (q.query_id, tid): float(method.score(prep, enc))
+        for q in queries
+        for prep in [method.prepare_query(q.extracted)]
+        for tid, enc in encs.items()
+    }
+
+
+def collect_scores(scores) -> dict[tuple[str, str], float]:
+    return {(r["query_id"], r["table_id"]): r["score"] for r in scores.collect()}
 
 
 @pytest.fixture(scope="module")
@@ -44,16 +63,9 @@ class TestScoreWithMethod:
         assert cml_scores.count() == len(bench.queries) * len(bench.repository)
 
     def test_scores_match_driver_side(self, cml_scores, bench):
+        """Bit-identical to the driver: a pickle round trip is exact."""
         m = CML(bench.cfg.fcm)
-        got = {
-            (r["query_id"], r["table_id"]): r["score"]
-            for r in cml_scores.collect()
-        }
-        q = bench.queries[0]
-        prep = m.prepare_query(q.extracted)
-        for tid in list(bench.repository)[:5]:
-            want = m.score(prep, m.encode_table(bench.repository[tid]))
-            assert got[(q.query_id, tid)] == pytest.approx(want, rel=1e-9)
+        assert collect_scores(cml_scores) == driver_scores(m, bench.repository, bench.queries)
 
     def test_candidate_pruning(self, spark, bench):
         cands = {q.query_id: {q.source_table_id} for q in bench.queries}
@@ -68,15 +80,96 @@ class TestScoreWithMethod:
         sub_queries = bench.queries[:2]
         sub_tables = {k: bench.repository[k] for k in list(bench.repository)[:8]}
         scores = score_with_method(spark, sub_tables, sub_queries, method)
-        rows = scores.collect()
-        assert len(rows) == 16
-        got = {(r["query_id"], r["table_id"]): r["score"] for r in rows}
-        q = sub_queries[0]
-        tid = list(sub_tables)[0]
-        want = method.score(
-            method.prepare_query(q.extracted), method.encode_table(sub_tables[tid])
+        assert scores.count() == 16
+        assert collect_scores(scores) == driver_scores(method, sub_tables, sub_queries)
+
+
+def persisted_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+class TestResidentLake:
+    """The resident artefacts are keyed by content, method and session, and
+    at most one raw and one encoded repository stay persisted."""
+
+    def test_changed_values_give_new_scores(self, spark, bench):
+        tids = sorted(bench.repository)[:4]
+        lake = {tid: bench.repository[tid] for tid in tids}
+        changed = dict(lake)
+        t = lake[tids[0]]
+        changed[tids[0]] = LakeTable(t.table_id, [c[::-1] * 1.5 for c in t.columns])
+        m = CML(bench.cfg.fcm)
+        before = collect_scores(score_with_method(spark, lake, bench.queries, m))
+        after = collect_scores(score_with_method(spark, changed, bench.queries, m))
+        assert after == driver_scores(m, changed, bench.queries)
+        for (qid, tid), score in after.items():
+            assert (score != before[(qid, tid)]) == (tid == tids[0])
+
+    @pytest.mark.parametrize("which", ["fcm_head", "cml_projector"])
+    def test_changed_method_state_reencodes(self, spark, bench, which):
+        lake = {tid: bench.repository[tid] for tid in sorted(bench.repository)[:4]}
+        m = FCMMethod(make_model(bench.cfg.fcm)) if which == "fcm_head" else CML(bench.cfg.fcm)
+        before = collect_scores(score_with_method(spark, lake, bench.queries, m))
+        old = resident_encodings(spark, lake, m)
+        # retrain in place: the same object, new state
+        if which == "fcm_head":
+            m.model.head.w = m.model.head.w + 0.5
+        else:
+            m.projector.w *= -1.5
+        after = collect_scores(score_with_method(spark, lake, bench.queries, m))
+        assert resident_encodings(spark, lake, m) is not old
+        assert old.storageLevel == StorageLevel.NONE
+        assert after == driver_scores(m, lake, bench.queries)
+        assert after != before
+
+    def test_residency_bounded(self, spark, bench):
+        tids = sorted(bench.repository)
+        m = CML(bench.cfg.fcm)
+        held, base = [], None
+        for lo in (0, 5, 10):
+            lake = {tid: bench.repository[tid] for tid in tids[lo:lo + 5]}
+            score_with_method(spark, lake, bench.queries[:1], m).count()
+            held.append((resident_repository(spark, lake), resident_encodings(spark, lake, m)))
+            base = persisted_rdds(spark) if base is None else base
+            assert persisted_rdds(spark) == base
+        *old, last = held
+        assert all(df.storageLevel == StorageLevel.NONE for pair in old for df in pair)
+        assert all(df.storageLevel != StorageLevel.NONE for df in last)
+        assert last[0].rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
+
+    def test_not_reused_across_sessions(self, spark, bench):
+        lake = {tid: bench.repository[tid] for tid in sorted(bench.repository)[:3]}
+        mine = resident_repository(spark, lake)
+
+        class OtherApp:
+            """This session seen as another application."""
+
+            sparkContext = SimpleNamespace(
+                applicationId="another-app",
+                defaultParallelism=spark.sparkContext.defaultParallelism,
+            )
+
+            def __getattr__(self, name):
+                return getattr(spark, name)
+
+        other = resident_repository(OtherApp(), lake)
+        assert other is not mine
+        again = resident_repository(spark, lake)
+        assert again is not other and again is not mine
+        other.unpersist()
+        mine.unpersist()
+
+    def test_candidate_pairs_only(self, spark, bench):
+        m = CML(bench.cfg.fcm)
+        q0, q1 = bench.queries[:2]
+        tids = sorted(bench.repository)
+        cands = {q0.query_id: {tids[0], tids[1]}, q1.query_id: {tids[1], tids[2]}}
+        got = collect_scores(
+            score_with_method(spark, bench.repository, bench.queries, m, candidates=cands)
         )
-        assert got[(q.query_id, tid)] == pytest.approx(want, rel=1e-9)
+        assert set(got) == {(qid, tid) for qid, ts in cands.items() for tid in ts}
+        empty = score_with_method(spark, bench.repository, bench.queries, m, candidates={})
+        assert empty.count() == 0
 
 
 class TestTopK:
