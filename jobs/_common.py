@@ -27,11 +27,15 @@ SRC_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def get_spark() -> SparkSession:
-    """Session for standalone spark-submit runs (mirrors conftest confs)."""
+    """Session for standalone spark-submit runs.
+
+    It mirrors conftest's confs except ``spark.sql.shuffle.partitions``:
+    no request shuffles, and adaptive query execution sizes the small
+    TPC-H-lite ``GROUP BY`` of the repository build.
+    """
     return (
         SparkSession.builder.appName("repro-jobs")
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")

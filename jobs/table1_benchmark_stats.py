@@ -9,31 +9,28 @@ from _common import setup
 
 from repro.bench.plotly_lite import m_bucket_label
 from repro.bench.tables import M_ORDER, PAPER_TABLE1
-from repro.lake.repository import repository_df
 
 
-def run(spark, bench) -> dict[str, dict[str, int]]:
+def run(bench) -> dict[str, dict[str, int]]:
     # query distribution
     q_counts = {lab: 0 for lab in M_ORDER}
     for q in bench.queries:
         q_counts[m_bucket_label(q.m)] += 1
-    # repository distribution by each table's viz-spec M — computed over
-    # the lake DataFrame (tables with >7 columns cap at their spec)
-    repo = repository_df(spark, bench.repository)
-    n_repo = repo.select("table_id").distinct().count()
+    # repository distribution by each table's viz-spec M (tables with >7
+    # columns cap at their spec)
     r_counts = {lab: 0 for lab in M_ORDER}
     for tid in bench.repository:
         spec = bench.repo_specs[tid]
         r_counts[m_bucket_label(spec.m)] += 1
     return {
         "Query": {"overall": len(bench.queries), **q_counts},
-        "Repository": {"overall": n_repo, **r_counts},
+        "Repository": {"overall": len(bench.repository), **r_counts},
     }
 
 
 def main(argv=None):
-    spark, bench, _ = setup(argv)
-    got = run(spark, bench)
+    _, bench, _ = setup(argv)
+    got = run(bench)
     print("\nTable I — benchmark statistics (measured | paper)")
     header = ["overall"] + list(M_ORDER)
     print(f"{'':12s}" + "".join(f"{h:>16s}" for h in header))

@@ -29,6 +29,7 @@ from repro.chartsim.spec import ChartRecord, VisSpec, underlying_data
 from repro.config import BenchmarkConfig
 from repro.core.data import LakeTable
 from repro.core.relevance import rel_scores
+from repro.bench.metrics import top_k
 from repro.bench.plotly_lite import da_spec, gen_corpus, partial_spec
 
 
@@ -184,15 +185,18 @@ def build_benchmark(
 
 
 def compute_ground_truth(bench: Benchmark, *, spark=None) -> dict[str, list[str]]:
-    """Top-k repository tables by Rel(D, T) per query."""
+    """Top-k repository tables by Rel(D, T) per query, ranked by
+    :func:`repro.bench.metrics.top_k` on both paths."""
     if spark is not None:
         from repro.lake.search import spark_ground_truth
 
         return spark_ground_truth(spark, bench)
-    tids = list(bench.repository)
     rel = rel_scores([q.data for q in bench.queries], list(bench.repository.values()))
-    out: dict[str, list[str]] = {}
-    for q, row in zip(bench.queries, rel):
-        scores = sorted(zip(tids, row), key=lambda x: (-x[1], x[0]))
-        out[q.query_id] = [tid for tid, _ in scores[: bench.cfg.k]]
-    return out
+    return top_k(
+        (
+            (q.query_id, tid, score)
+            for q, row in zip(bench.queries, rel)
+            for tid, score in zip(bench.repository, row)
+        ),
+        bench.cfg.k,
+    )

@@ -92,7 +92,3 @@ WINDOW_BUCKETS = ("0-20", "20-40", "40-60", "60-80", "80-100")
 def fmt_row(label: str, values: dict[str, float], order=METHOD_ORDER, nd: int = 3) -> str:
     cells = "  ".join(f"{values.get(m, float('nan')):.{nd}f}" for m in order)
     return f"{label:<22s} {cells}"
-
-
-def fmt_pair(measured: float, paper: float, nd: int = 3) -> str:
-    return f"{measured:.{nd}f} (paper {paper:.{nd}f})"

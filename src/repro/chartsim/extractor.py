@@ -109,30 +109,3 @@ def _interp_gaps(trace: np.ndarray) -> np.ndarray:
         raise ValueError("empty line trace: nothing to extract")
     xs = np.arange(trace.size)
     return np.interp(xs, xs[nz], trace[nz])
-
-
-def segmentation_iou(chart: LineChart, predicted_masks: np.ndarray) -> float:
-    """Mean per-class IoU of a predicted mask vs the LineChartSeg ground
-    truth — the metric a trained LCSeg would report (used in tests to
-    check the grey-level segmentation against the renderer's masks)."""
-    gt = chart.masks
-    classes = [c for c in np.unique(gt) if c > 0]
-    ious = []
-    for c in classes:
-        g, p = gt == c, predicted_masks == c
-        union = np.logical_or(g, p).sum()
-        if union == 0:
-            continue
-        ious.append(np.logical_and(g, p).sum() / union)
-    return float(np.mean(ious)) if ious else 0.0
-
-
-def predict_masks(chart: LineChart) -> np.ndarray:
-    """Grey-level instance segmentation emitting LineChartSeg-style masks."""
-    plot = chart.raster
-    out = np.zeros_like(chart.masks)
-    out[plot == AXIS] = -1
-    body = plot[(plot != BACKGROUND) & (plot != AXIS)]
-    for i, grey in enumerate(np.unique(body)):
-        out[plot == grey] = i + 1
-    return out

@@ -120,9 +120,3 @@ def _value_to_row(v, vlo: float, vhi: float, h: int):
     rows = np.rint((1.0 - frac) * (h - 1)).astype(np.int64)
     rows = np.clip(rows, 0, h - 1)
     return rows if rows.ndim else int(rows)
-
-
-def row_to_value(rows, vlo: float, vhi: float, h: int):
-    """Inverse of :func:`_value_to_row` (used by tests)."""
-    frac = 1.0 - np.asarray(rows, dtype=np.float64) / (h - 1)
-    return vlo + frac * (vhi - vlo)

@@ -3,12 +3,9 @@
 The paper maps data series of the underlying data ``D`` onto columns of a
 candidate table ``T`` by solving max-weight bipartite matching over the
 ``rel(d_i, C_j)`` weight matrix. scipy is unavailable, so we implement the
-Hungarian algorithm (Jonker-style O(n^3) potentials formulation) in numpy,
-plus a brute-force reference used by the tests.
+Hungarian algorithm (Jonker-style O(n^3) potentials formulation) in numpy.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -80,27 +77,6 @@ def hungarian_max(weights: np.ndarray) -> list[tuple[int, int]]:
             pairs.append((c, r) if transposed else (r, c))
     pairs.sort()
     return pairs
-
-
-def brute_force_max(weights: np.ndarray) -> list[tuple[int, int]]:
-    """Exhaustive reference implementation (tests only; <= 7x7)."""
-    w = np.asarray(weights, dtype=np.float64)
-    n, m = w.shape
-    rows_small = n <= m
-    small, large = (n, m) if rows_small else (m, n)
-    best, best_pairs = -np.inf, []
-    for perm in itertools.permutations(range(large), small):
-        s = sum(
-            w[i, perm[i]] if rows_small else w[perm[i], i]
-            for i in range(small)
-        )
-        if s > best:
-            best = s
-            best_pairs = [
-                (i, perm[i]) if rows_small else (perm[i], i)
-                for i in range(small)
-            ]
-    return sorted(best_pairs)
 
 
 def matching_weight(weights: np.ndarray, pairs: list[tuple[int, int]]) -> float:

@@ -11,7 +11,6 @@ available, so this is a pure-numpy implementation:
   KDD 2012: exact DTW is fast once its loop overhead is amortised).
   Stacks of a few hundred pairs are needed for that to pay off; a stack
   of one is slower than a scalar loop.
-* :func:`dtw_distance` — one pair, as a stack of one.
 * :func:`fit_length` / :func:`resample` — linear-interpolation resampling
   used to cap series length before DTW (documented substitution: the
   paper runs exact DTW on full-length series; we cap at ``max_len`` for
@@ -135,25 +134,3 @@ def dtw_distances(a: np.ndarray, b: np.ndarray, *, band: int | None) -> np.ndarr
         prev_rows, cur_rows = cur_rows, prev_rows
     out[ok] = prev[m]
     return out
-
-
-def dtw_distance(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    band: int | None = None,
-    max_len: int | None = 128,
-) -> float:
-    """DTW distance of one pair (a stack of one for :func:`dtw_distances`,
-    whose ``band`` this takes).
-
-    ``max_len``: if set, a series longer than this is resampled down to
-    it first (keeps repository sweeps tractable).
-    """
-    a, b = fit_length(a, max_len), fit_length(b, max_len)
-    return float(dtw_distances(a[None], b[None], band=band)[0])
-
-
-def dtw_relevance(a: np.ndarray, b: np.ndarray, **kw) -> float:
-    """``rel(d, C) = 1 / (1 + DTW(d, C))`` (Sec. III-A)."""
-    return 1.0 / (1.0 + dtw_distance(a, b, **kw))

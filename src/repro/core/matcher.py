@@ -65,15 +65,6 @@ def range_iou(a: tuple, b: tuple) -> np.ndarray:
     )
 
 
-def range_overlap(q_range: tuple[float, float], c_range: tuple[float, float]) -> float:
-    """Fraction of the query y-range covered by the column range."""
-    qlo, qhi = q_range
-    clo, chi = c_range
-    width = max(qhi - qlo, 1e-12)
-    inter = min(qhi, chi) - max(qlo, clo)
-    return float(np.clip(inter / width, 0.0, 1.0))
-
-
 def filter_columns(
     query: QueryEncoding, table: TableEncoding, pad: float = 0.25
 ) -> list[ColumnEncoding]:

@@ -119,10 +119,3 @@ def rel_score(
 ) -> float:
     """Rel(D, T): mean weight of the max-weight bipartite matching."""
     return float(rel_scores([data], [table], band=band, max_len=max_len)[0, 0])
-
-
-def match_assignment(
-    data: list[np.ndarray], table: LakeTable, **kw
-) -> list[tuple[int, int]]:
-    """The (series, column) assignment behind Rel(D, T) (tests/analysis)."""
-    return hungarian_max(relevance_matrix(data, table, **kw))

@@ -1,15 +1,16 @@
-"""Distributed query scoring and ranking over the lake.
+"""Distributed query scoring over the lake; the ranking runs on the driver.
 
 The scan+similarity-match core: a broadcast query payload is scored with
 ``mapInPandas`` over the resident encoded repository
 (``repro.lake.resident``), one partition per core. Every table was
 encoded once per lake and method; a request unpickles each candidate
 table's encoding and scores it against *all* queries, and index pruning
-is a ``table_id IN (...)`` filter on the artefact. Top-k is a Spark SQL
-window function whose ranking the DuckDB oracle cross-checks in tests.
-The ground truth Rel(D, T) is scored with ``mapInPandas`` over the
-resident raw repository. prec@k and ndcg@k are computed on the driver
-from the collected rankings (``repro.bench.metrics``).
+is a ``table_id IN (...)`` filter on the artefact. The ground truth
+Rel(D, T) is scored with ``mapInPandas`` over the resident raw
+repository. Both collect their ``(query_id, table_id, score)`` rows and
+rank them on the driver with :func:`repro.bench.metrics.top_k`, the
+ranking the local ground truth uses too, so no request shuffles. prec@k
+and ndcg@k are computed on the driver from those rankings.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from pyspark.sql.types import (
     StructField,
     StructType,
 )
-from pyspark.sql.window import Window
 
 from repro.baselines.base import Method
+from repro.bench.metrics import top_k
 from repro.core.data import LakeTable
 from repro.lake.repository import iter_tables
 from repro.lake.resident import resident_encodings, resident_repository
@@ -118,26 +119,6 @@ def score_with_method(
     return encoded.mapInPandas(score_partition, schema=SCORES_SCHEMA)
 
 
-def topk_df(scores: DataFrame, k: int) -> DataFrame:
-    """Top-k rows per query by score (deterministic tie-break on id).
-
-    A NaN score ranks below every number: Spark orders NaN above +inf, so
-    ``desc("score")`` alone would put a NaN-scored table first for every
-    query.
-    """
-    w = Window.partitionBy("query_id").orderBy(
-        F.isnan("score").asc(), F.desc("score"), F.asc("table_id")
-    )
-    return (
-        scores.withColumn("rank", F.row_number().over(w))
-        .filter(F.col("rank") <= k)
-    )
-
-
 def ranked_topk(scores: DataFrame, k: int) -> dict[str, list[str]]:
-    """Collect the top-k ranking per query as {query_id: [table_id, ...]}."""
-    rows = topk_df(scores, k).select("query_id", "table_id", "rank").collect()
-    out: dict[str, list[tuple[int, str]]] = {}
-    for r in rows:
-        out.setdefault(r["query_id"], []).append((r["rank"], r["table_id"]))
-    return {q: [t for _, t in sorted(v)] for q, v in out.items()}
+    """Collect every score and rank it on the driver: {query_id: [table_id, ...]}."""
+    return top_k(scores.select("query_id", "table_id", "score").collect(), k)

@@ -1,14 +1,54 @@
-"""Tests for repro.chartsim.augment — the Sec. IV-A data augmentations,
-used here as the extractor's robustness suite (DESIGN.md §2)."""
+"""The Sec. IV-A data augmentations as the extractor's robustness suite.
+
+The paper augments LineChartSeg by transforming the *tabular* data (not
+the pixels) and re-rendering, preserving chart semantics, to train its
+segmentation model. Our extractor is deterministic rather than trained
+(DESIGN.md §2), so the three operators — reverse, partitioning,
+down-sampling — live here and validate it instead of training it.
+"""
 import numpy as np
 import pytest
 
-from repro.chartsim.augment import augment_corpus, down_sample, partition, reverse
 from repro.chartsim.extractor import extract
 from repro.chartsim.renderer import render_chart
 from repro.config import ChartConfig
 from repro.core.data import LakeTable
 from repro.core.dtw import resample
+
+
+def reverse(table: LakeTable, table_id: str | None = None) -> LakeTable:
+    """Reverse every column: (a_1..a_n) -> (a_n..a_1)."""
+    return LakeTable(
+        table_id or f"{table.table_id}__rev",
+        [c[::-1].copy() for c in table.columns],
+        list(table.names),
+    )
+
+
+def partition(
+    table: LakeTable, split: int | None = None, rng: np.random.Generator | None = None
+) -> tuple[LakeTable, LakeTable]:
+    """Split every column at ``split`` into two tables (random if None)."""
+    n = table.n_rows
+    if split is None:
+        rng = rng or np.random.default_rng(0)
+        split = int(rng.integers(max(1, n // 4), max(2, 3 * n // 4)))
+    if not (0 < split < n):
+        raise ValueError(f"split {split} out of range (0, {n})")
+    a = LakeTable(f"{table.table_id}__p0", [c[:split].copy() for c in table.columns], list(table.names))
+    b = LakeTable(f"{table.table_id}__p1", [c[split:].copy() for c in table.columns], list(table.names))
+    return a, b
+
+
+def down_sample(table: LakeTable, rho: int, table_id: str | None = None) -> LakeTable:
+    """Keep one point per ``rho`` consecutive points in every column."""
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
+    return LakeTable(
+        table_id or f"{table.table_id}__ds{rho}",
+        [c[::rho].copy() for c in table.columns],
+        list(table.names),
+    )
 
 
 @pytest.fixture()
@@ -56,10 +96,6 @@ class TestOperators:
     def test_down_sample_bad_rho(self, table):
         with pytest.raises(ValueError):
             down_sample(table, rho=0)
-
-    def test_augment_corpus_grows(self, table):
-        out = augment_corpus([table], np.random.default_rng(0))
-        assert len(out) == 4  # reverse + two partitions + downsample
 
 
 class TestExtractorRobustness:

@@ -1,10 +1,37 @@
-"""Tests for repro.core.bipartite (Hungarian vs brute force)."""
+"""Tests for repro.core.bipartite (Hungarian vs brute force).
+
+``brute_force_max`` is the exhaustive oracle the Hungarian solver is
+checked against.
+"""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bipartite import brute_force_max, hungarian_max, matching_weight
+from repro.core.bipartite import hungarian_max, matching_weight
+
+
+def brute_force_max(weights: np.ndarray) -> list[tuple[int, int]]:
+    """Exhaustive reference implementation (<= 7x7)."""
+    w = np.asarray(weights, dtype=np.float64)
+    n, m = w.shape
+    rows_small = n <= m
+    small, large = (n, m) if rows_small else (m, n)
+    best, best_pairs = -np.inf, []
+    for perm in itertools.permutations(range(large), small):
+        s = sum(
+            w[i, perm[i]] if rows_small else w[perm[i], i]
+            for i in range(small)
+        )
+        if s > best:
+            best = s
+            best_pairs = [
+                (i, perm[i]) if rows_small else (perm[i], i)
+                for i in range(small)
+            ]
+    return sorted(best_pairs)
 
 
 class TestHungarian:

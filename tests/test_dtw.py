@@ -2,6 +2,8 @@
 
 ``dtw_reference`` is the scalar recurrence the stacked kernel replaced.
 It is kept here as the oracle: the kernel must agree with it bit for bit.
+``dtw_distance`` runs the kernel on one pair (a stack of one) and
+``dtw_relevance`` is the paper's ``rel(d, C)`` of that pair.
 """
 import numpy as np
 import pytest
@@ -9,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.dtw import (
-    dtw_distance,
-    dtw_distances,
-    dtw_relevance,
-    fit_length,
-    resample,
-)
+from repro.core.dtw import dtw_distances, fit_length, resample
 
 
 def dtw_reference(a, b, *, band=None, max_len=128):
@@ -50,6 +46,28 @@ def dtw_reference(a, b, *, band=None, max_len=128):
             cur[lo + idx] = run
         prev, cur = cur, prev
     return float(prev[m])
+
+
+def dtw_distance(
+    a: np.ndarray,
+    b: np.ndarray,
+    *,
+    band: int | None = None,
+    max_len: int | None = 128,
+) -> float:
+    """DTW distance of one pair (a stack of one for :func:`dtw_distances`,
+    whose ``band`` this takes).
+
+    ``max_len``: if set, a series longer than this is resampled down to
+    it first (keeps repository sweeps tractable).
+    """
+    a, b = fit_length(a, max_len), fit_length(b, max_len)
+    return float(dtw_distances(a[None], b[None], band=band)[0])
+
+
+def dtw_relevance(a: np.ndarray, b: np.ndarray, **kw) -> float:
+    """``rel(d, C) = 1 / (1 + DTW(d, C))`` (Sec. III-A)."""
+    return 1.0 / (1.0 + dtw_distance(a, b, **kw))
 
 
 class TestResample:

@@ -6,12 +6,36 @@ from repro.chartsim.extractor import (
     detect_tick_rows,
     extract,
     fit_calibration,
-    predict_masks,
-    segmentation_iou,
 )
-from repro.chartsim.renderer import render_chart
+from repro.chartsim.renderer import AXIS, BACKGROUND, LineChart, render_chart
 from repro.config import ChartConfig
 from repro.core.dtw import resample
+
+
+def segmentation_iou(chart: LineChart, predicted_masks: np.ndarray) -> float:
+    """Mean per-class IoU of a predicted mask vs the LineChartSeg ground
+    truth — the metric a trained LCSeg would report."""
+    gt = chart.masks
+    classes = [c for c in np.unique(gt) if c > 0]
+    ious = []
+    for c in classes:
+        g, p = gt == c, predicted_masks == c
+        union = np.logical_or(g, p).sum()
+        if union == 0:
+            continue
+        ious.append(np.logical_and(g, p).sum() / union)
+    return float(np.mean(ious)) if ious else 0.0
+
+
+def predict_masks(chart: LineChart) -> np.ndarray:
+    """Grey-level instance segmentation emitting LineChartSeg-style masks."""
+    plot = chart.raster
+    out = np.zeros_like(chart.masks)
+    out[plot == AXIS] = -1
+    body = plot[(plot != BACKGROUND) & (plot != AXIS)]
+    for i, grey in enumerate(np.unique(body)):
+        out[plot == grey] = i + 1
+    return out
 
 
 @pytest.fixture()

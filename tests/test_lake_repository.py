@@ -17,7 +17,7 @@ from repro.lake.repository import (
     tpch_daily_df,
     tpch_derived_tables,
 )
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 from repro import synth_data
 
 

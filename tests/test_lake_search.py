@@ -1,5 +1,5 @@
 """Spark tests for repro.lake.search and repro.lake.resident: distributed
-scoring, the resident lake, top-k."""
+scoring, the resident lake, the collected top-k."""
 from types import SimpleNamespace
 
 import pandas as pd
@@ -13,12 +13,8 @@ from repro.core.fcm import make_model
 from repro.bench.harness import FCMMethod
 from repro.core.data import LakeTable
 from repro.lake.resident import resident_encodings, resident_repository
-from repro.lake.search import (
-    ranked_topk,
-    score_with_method,
-    topk_df,
-)
-from repro.oracle import assert_equivalent
+from repro.lake.search import ranked_topk, score_with_method
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -174,9 +170,16 @@ class TestResidentLake:
 
 class TestTopK:
     def test_topk_vs_oracle(self, spark, cml_scores, bench):
-        """Spark window top-k == DuckDB row_number over the same scores."""
+        """The collected top-k == DuckDB row_number over the same scores."""
         k = bench.cfg.k
-        top = topk_df(cml_scores, k).select("query_id", "table_id", "rank")
+        top = pd.DataFrame(
+            [
+                (qid, tid, rank)
+                for qid, tids in ranked_topk(cml_scores, k).items()
+                for rank, tid in enumerate(tids, start=1)
+            ],
+            columns=["query_id", "table_id", "rank"],
+        )
         assert_equivalent(
             top,
             f"""

@@ -22,13 +22,21 @@ from repro.core.matcher import (
     match_fine,
     match_global,
     range_iou,
-    range_overlap,
 )
 from tests.test_encoders import tables
 
 _GATE_TAU = 12.0
 _RANGE_W = 0.6
 _ID_PRIOR = 0.02
+
+
+def range_overlap(q_range: tuple[float, float], c_range: tuple[float, float]) -> float:
+    """Fraction of the query y-range covered by the column range."""
+    qlo, qhi = q_range
+    clo, chi = c_range
+    width = max(qhi - qlo, 1e-12)
+    inter = min(qhi, chi) - max(qlo, clo)
+    return float(np.clip(inter / width, 0.0, 1.0))
 
 
 # -- the scalar matcher: one cosine matrix per (line, column, variant) --------

@@ -1,8 +1,51 @@
-"""Tests for repro.bench.metrics (prec@k, ndcg@k)."""
+"""Tests for repro.bench.metrics (top-k, prec@k, ndcg@k)."""
 import numpy as np
 import pytest
 
-from repro.bench.metrics import ndcg_at_k, prec_at_k
+from repro.bench.metrics import ndcg_at_k, prec_at_k, top_k
+
+
+class TestTopK:
+    ROWS = [
+        ("q1", "t_nan", float("nan")),
+        ("q1", "t_none", None),
+        ("q1", "t_b", 0.5),
+        ("q1", "t_ninf", float("-inf")),
+        ("q1", "t_a", 0.5),
+        ("q1", "t_inf", float("inf")),
+        ("q1", "t_low", -1.0),
+        ("q2", "t_none", None),
+        ("q2", "t_z", 0.1),
+        ("q2", "t_nan", float("nan")),
+    ]
+
+    def test_order_ties_and_missing_last(self):
+        assert top_k(self.ROWS, 7) == {
+            "q1": ["t_inf", "t_a", "t_b", "t_low", "t_ninf", "t_nan", "t_none"],
+            "q2": ["t_z", "t_nan", "t_none"],
+        }
+
+    def test_k_larger_than_rows(self):
+        assert top_k(self.ROWS, 100) == top_k(self.ROWS, 7)
+
+    def test_k_one(self):
+        assert top_k(self.ROWS, 1) == {"q1": ["t_inf"], "q2": ["t_z"]}
+
+    def test_numpy_scores(self):
+        rows = [
+            ("q", "b", np.float64(2.0)),
+            ("q", "a", np.float64(np.nan)),
+            ("q", "c", np.float64(2.0)),
+        ]
+        assert top_k(rows, 3) == {"q": ["b", "c", "a"]}
+
+    def test_no_rows(self):
+        assert top_k([], 3) == {}
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_raises(self, k):
+        with pytest.raises(ValueError):
+            top_k(self.ROWS, k)
 
 
 class TestPrecAtK:

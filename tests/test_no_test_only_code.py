@@ -1,11 +1,11 @@
-"""Guard: every public function and class of the index and lake stages
-is used by the program, not only by tests.
+"""Guard: every public function and class of ``src/repro`` is used by
+the program, not only by tests.
 
 Each stage has one implementation, the one the jobs run. A public
-module-level function or class of ``src/repro/index`` or
-``src/repro/lake`` must be referenced somewhere in ``src/``, ``jobs/``,
-``benchmarks/`` or ``perfbench/`` outside its own definition; a
-reference oracle that only tests need lives in ``tests/``.
+module-level function or class of any module under ``src/repro`` must be
+referenced somewhere in ``src/``, ``jobs/``, ``benchmarks/`` or
+``perfbench/`` outside its own definition; a reference oracle that only
+tests need lives in ``tests/``.
 """
 import ast
 from pathlib import Path
@@ -13,9 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-GUARDED = sorted(
-    p for d in ("index", "lake") for p in (ROOT / "src" / "repro" / d).glob("*.py")
-)
+GUARDED = sorted((ROOT / "src" / "repro").rglob("*.py"))
 USERS = ("src", "jobs", "benchmarks", "perfbench")
 
 
@@ -57,8 +55,11 @@ def refs() -> set[tuple[Path, str, str | None]]:
 
 
 def test_guard_sees_the_stage_modules():
+    assert {p.parent.name for p in GUARDED} == {
+        "repro", "baselines", "bench", "chartsim", "core", "index", "lake"
+    }
     names = {n for p in GUARDED for n in _public_defs(p)}
-    assert {"IntervalTree", "LSHIndex", "repository_df", "ranked_topk"} <= names
+    assert {"IntervalTree", "LSHIndex", "repository_df", "ranked_topk", "top_k"} <= names
 
 
 @pytest.mark.parametrize("path", GUARDED, ids=lambda p: f"{p.parent.name}/{p.name}")

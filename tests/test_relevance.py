@@ -7,7 +7,6 @@ from repro.config import tiny_benchmark_config
 from repro.core.bipartite import hungarian_max, matching_weight
 from repro.core.data import LakeTable
 from repro.core.relevance import (
-    match_assignment,
     rel_score,
     rel_scores,
     relevance_matrix,
@@ -31,6 +30,13 @@ def rel_reference(data, table, *, band=16, max_len=128):
     )
     pairs = hungarian_max(w)
     return matching_weight(w, pairs) / len(data) if pairs else 0.0
+
+
+def match_assignment(
+    data: list[np.ndarray], table: LakeTable, **kw
+) -> list[tuple[int, int]]:
+    """The (series, column) assignment behind Rel(D, T)."""
+    return hungarian_max(relevance_matrix(data, table, **kw))
 
 
 @pytest.fixture()

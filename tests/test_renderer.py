@@ -9,9 +9,14 @@ from repro.chartsim.renderer import (
     line_intensities,
     nice_ticks,
     render_chart,
-    row_to_value,
 )
 from repro.config import ChartConfig
+
+
+def row_to_value(rows, vlo: float, vhi: float, h: int):
+    """Inverse of the renderer's ``_value_to_row`` (the round-trip oracle)."""
+    frac = 1.0 - np.asarray(rows, dtype=np.float64) / (h - 1)
+    return vlo + frac * (vhi - vlo)
 
 
 @pytest.fixture()
