@@ -18,8 +18,8 @@ def column():
 
 
 def test_da_column_encoding(benchmark, fcm_model, column):
-    ce = benchmark(fcm_model.dataset_encoder.encode_column, column, 0)
-    assert len(ce.variants) > 1
+    te = benchmark(fcm_model.encode_table, LakeTable("t", [column]))
+    assert len(te.columns[0].variants) > 1
 
 
 @pytest.mark.parametrize("op,window", [("avg", 8), ("sum", 32), ("max", 64)])

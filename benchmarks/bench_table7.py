@@ -12,6 +12,7 @@ import pytest
 from repro.chartsim.extractor import extract
 from repro.chartsim.renderer import render_chart
 from repro.config import FCMConfig
+from repro.core.data import LakeTable
 from repro.core.dataset_encoder import DatasetEncoder
 from repro.core.line_encoder import LineChartEncoder
 
@@ -34,5 +35,6 @@ def test_column_encoding_vs_p2(benchmark, p2):
     rng = np.random.default_rng(1)
     col = np.cumsum(rng.standard_normal(512))
     enc = DatasetEncoder(dataclasses.replace(FCMConfig(), p2=p2))
-    ce = benchmark(enc.encode_column, col, 0)
-    assert ce.identity.emb.shape[0] == max(1, round(512 / p2))
+    te = benchmark(enc.encode_table, LakeTable("t", [col]))
+    # the identity variant is the column's first packed variant
+    assert te.packed.offsets[1] == max(1, round(512 / p2))

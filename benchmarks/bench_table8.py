@@ -4,20 +4,23 @@ The paper's headline is the query-time ratio between strategies; here we
 measure the index probes themselves and a pruned scoring pass, so the
 speedup mechanism (fewer (query, table) pairs) is visible in the timings.
 """
-import numpy as np
 import pytest
 
+from repro.core.dataset_encoder import DatasetEncoder
 from repro.index.hybrid import build_hybrid_index, query_line_embeddings
 from repro.index.interval_tree import build_table_interval_tree
 
 
 @pytest.fixture(scope="module")
-def column_embs(bench, table_encodings):
-    out = {}
-    for tid, te in table_encodings.items():
-        for c in te.columns:
-            out[(tid, c.col_id)] = c.mean_emb
-    return out
+def column_embs(bench, fcm_model):
+    """The vectors the Table VIII job indexes (``embed_repository``): each
+    finite column's mean no-DA identity segment embedding."""
+    enc = DatasetEncoder(fcm_model.cfg.without_da())
+    return {
+        (tid, c.col_id): c.mean_emb
+        for tid, t in bench.repository.items()
+        for c in enc.encode_table(t).finite_columns
+    }
 
 
 @pytest.fixture(scope="module")

@@ -12,11 +12,14 @@ Writes ``BENCH_kernels.json`` at the repository root.
 * ``encoder``: ms per table of ``DatasetEncoder.encode_table`` (one
   column stack per variant) against ``encode_table_reference`` of
   ``tests/test_encoders.py`` (one column, one variant at a time) over
-  the tiny benchmark's lake, with the largest embedding difference.
+  the tiny benchmark's lake, with the largest embedding difference (the
+  packed unit-norm segment rows against the oracle's rows made unit-norm,
+  and the column mean embeddings).
 * ``matcher``: ms per (query, table) pair of ``match_fine`` (one packed
   matmul per pair) against ``match_reference`` of
   ``tests/test_matcher.py`` (one cosine matrix per line, column and
-  variant), all tiny-benchmark queries × all tables, with the largest
+  variant, over the oracle encoder's rows), all tiny-benchmark queries ×
+  all tables, with the largest
   feature and score differences and whether pairs, inferred operators,
   kept columns and top-k rankings are identical.
 
@@ -41,11 +44,12 @@ sys.path.insert(0, ROOT)
 from repro.bench.benchmark import build_benchmark  # noqa: E402
 from repro.config import tiny_benchmark_config  # noqa: E402
 from repro.core.dtw import dtw_distances  # noqa: E402
+from repro.core.features import unit_rows  # noqa: E402
 from repro.core.fcm import make_model  # noqa: E402
 from repro.core.matcher import match_fine  # noqa: E402
 from repro.core.relevance import STACK_PAIRS, rel_scores  # noqa: E402
 from tests.test_dtw import dtw_reference  # noqa: E402
-from tests.test_encoders import encode_table_reference  # noqa: E402
+from tests.test_encoders import encode_table_reference, packed_variants  # noqa: E402
 from tests.test_matcher import match_reference  # noqa: E402
 from tests.test_relevance import rel_reference  # noqa: E402
 
@@ -130,10 +134,11 @@ def encoder_row(bench, model) -> dict:
     prod_s = _median_s(lambda: [enc.encode_table(tb) for tb in tables])
     delta = 0.0
     for tb, want in zip(tables, ref):
-        for g, w in zip(enc.encode_table(tb).columns, want):
-            delta = max(delta, float(np.abs(g.mean_emb - w.mean_emb).max()))
-            for gv, wv in zip(g.variants, w.variants):
-                delta = max(delta, float(np.abs(gv.emb - wv.emb).max()))
+        te = enc.encode_table(tb)
+        for j, w in enumerate(want):
+            delta = max(delta, float(np.abs(te.columns[j].mean_emb - w.mean_emb).max()))
+            for (_, emb, _, _), wv in zip(packed_variants(te, j), w.variants):
+                delta = max(delta, float(np.abs(emb - unit_rows(wv.emb)).max()))
     return {
         "tables": len(tables),
         "columns": sum(tb.n_cols for tb in tables),
@@ -148,10 +153,11 @@ def matcher_row(bench, model) -> dict:
     tau = model.cfg.attn_tau
     tids = list(bench.repository)
     encs = [model.encode_table(tb) for tb in bench.repository.values()]
+    refs = [encode_table_reference(model.dataset_encoder, tb) for tb in bench.repository.values()]
     queries = [model.encode_query(q.extracted) for q in bench.queries]
     n_pairs = len(queries) * len(encs)
     t = time.perf_counter()
-    ref = [[match_reference(q, e, tau) for e in encs] for q in queries]
+    ref = [[match_reference(q, e, r, tau) for e, r in zip(encs, refs)] for q in queries]
     oracle_s = time.perf_counter() - t
     prod_s = _median_s(lambda: [[match_fine(q, e, tau) for e in encs] for q in queries])
     got = [[match_fine(q, e, tau) for e in encs] for q in queries]

@@ -1,7 +1,8 @@
 """Table VIII — index strategies: effectiveness + query time.
 
 Builds the interval tree and the LSH index over the lake (column
-embeddings from the distributed ``embed_repository`` job), generates
+embeddings from the distributed ``embed_repository`` job, which leaves
+out a column with a NaN or ±inf value), generates
 per-query candidate sets under each strategy (none / interval / lsh /
 hybrid), and measures the wall-clock of the Spark scoring stage over
 the resident encoded repository, which is built once beforehand. The
@@ -33,6 +34,11 @@ def run(spark, bench) -> dict:
     column_embs = {
         (r["table_id"], r["col_id"]): np.asarray(r["emb"]) for r in emb_rows
     }
+    n_cols = sum(t.n_cols for t in bench.repository.values())
+    print(
+        f"[table8] columns left out of the LSH index (NaN or ±inf): {n_cols - len(emb_rows)}",
+        flush=True,
+    )
     # 24-bit codes: our untrained embeddings are directionally concentrated
     # (every column shares positional/scale channels), so the paper-style
     # short codes collide on almost everything

@@ -38,10 +38,6 @@ class Method:
     def score(self, query_prep: Any, table_enc: Any) -> float:
         raise NotImplementedError
 
-    def score_raw(self, eq: ExtractedQuery, table: LakeTable) -> float:
-        """Convenience end-to-end scoring (tests / tiny scale)."""
-        return self.score(self.prepare_query(eq), self.encode_table(table))
-
 
 def finite_column_ids(table: LakeTable) -> list[int]:
     """Indices of the table's columns with no NaN or ±inf value."""

@@ -103,10 +103,3 @@ class LakeTable:
     @property
     def n_rows(self) -> int:
         return int(self.columns[0].size)
-
-    def perturbed(self, rng: np.random.Generator, lo: float, hi: float, table_id: str) -> "LakeTable":
-        """Noise-injected near-duplicate: ``C_new = C * sigma`` with
-        ``sigma ~ U(lo, hi)`` elementwise (ground-truth generation,
-        Sec. VII-A)."""
-        cols = [c * rng.uniform(lo, hi, size=c.size) for c in self.columns]
-        return LakeTable(table_id, cols, list(self.names))

@@ -1,12 +1,12 @@
 """Segment-level dataset encoder with the three DA layers (Sec. IV-C, V).
 
-Per column the encoder emits one :class:`ColumnEncoding` holding:
+Each column is seen through a list of ``(op, window)`` variants:
 
-* the **identity expert**: segment embeddings of the raw column
-  (``P2``-point segments), optionally enriched by the HMRL multi-scale
-  layer (Sec. V-C) — a binary tree over ``2**beta`` sub-segments whose
-  bottom-up pooling injects information from window sizes
-  ``P2/2**beta .. P2`` into each segment embedding;
+* the **identity expert** ``("id", 1)``: segment embeddings of the raw
+  column (``P2``-point segments), optionally enriched by the HMRL
+  multi-scale layer (Sec. V-C) — a binary tree over ``2**beta``
+  sub-segments whose bottom-up pooling injects information from window
+  sizes ``P2/2**beta .. P2`` into each segment embedding;
 * four **aggregation experts** (Sec. V-B transformation layers): the
   column transformed by each operator at a family of tumbling windows
   (our exact-simulation substitution for the learned per-operator MLP —
@@ -16,20 +16,21 @@ The MoE gate (Sec. V-D) lives in the matcher: it weighs experts by match
 quality at query time, which is how "infer the most likely aggregation
 operator" is realised here.
 
-Also emits the per-column artefacts the indexes need: the interval hull
-of :func:`~repro.core.data.interval_hulls` (interval tree, Sec. VI-A) and
-the mean segment embedding (LSH, Sec. VI-A).
-
 A table is encoded as one ``(C, n_rows)`` stack, one featurizer pass per
-(op, window) variant. Its :class:`TableEncoding` also carries the
-:class:`PackedVariants` the matcher consumes: all variants' unit-norm
-segment embeddings in one matrix, built here once per table. A column
-with a NaN or infinite value is encoded as zeros and flagged non-finite;
-its interval and value range are NaN and it is never matched.
+(op, window) variant. Its :class:`TableEncoding` holds each segment
+embedding once, in the :class:`PackedVariants` the matcher consumes:
+every variant's unit-norm segment embeddings in one matrix. Beside it,
+one :class:`ColumnEncoding` per column records what the indexes and the
+global matcher need: the interval hull of
+:func:`~repro.core.data.interval_hulls` (interval tree, Sec. VI-A), the
+value range, the mean identity segment embedding (LSH, Sec. VI-A) and
+the column's ``(op, window)`` variants in packed order. A column with a
+NaN or infinite value is encoded as zeros and flagged non-finite; its
+interval and value range are NaN and it is never matched.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,26 +49,15 @@ from repro.core.features import (
 
 
 @dataclass
-class ColumnVariant:
-    """One expert's view of a column: (op, window) -> segment embeddings."""
-
-    op: str
-    window: int
-    emb: np.ndarray  # (N2_variant, K)
-    value_range: tuple[float, float] = (0.0, 0.0)  # range of the transformed series
-
-
-@dataclass
 class ColumnEncoding:
+    """What the indexes and the global matcher read of one column; its
+    segment embeddings live in the table's :class:`PackedVariants`."""
+
     col_id: int
     interval: tuple[float, float]        # [min, sum] hull (index key)
     value_range: tuple[float, float]     # plain [min, max]
-    variants: list[ColumnVariant]
-    mean_emb: np.ndarray                 # column-level embedding (LSH / CML)
-
-    @property
-    def identity(self) -> ColumnVariant:
-        return self.variants[0]
+    mean_emb: np.ndarray                 # column-level embedding (LSH / FCM-HCMAN)
+    variants: list[tuple[str, int]]      # (op, window) per variant, packed order
 
 
 @dataclass
@@ -87,28 +77,12 @@ class PackedVariants:
     hi: np.ndarray        # (V,)
     finite: np.ndarray    # (C,) column holds no NaN / inf; others never match
 
-    @staticmethod
-    def of(columns: list[ColumnEncoding], finite: np.ndarray) -> "PackedVariants":
-        variants = [(j, v) for j, c in enumerate(columns) for v in c.variants]
-        sizes = [v.emb.shape[0] for _, v in variants]
-        return PackedVariants(
-            emb=unit_rows(np.concatenate([v.emb for _, v in variants])),
-            offsets=np.concatenate([[0], np.cumsum(sizes)]),
-            col=np.array([j for j, _ in variants]),
-            op=np.array([ALL_OPS.index(v.op) for _, v in variants]),
-            lo=np.array([v.value_range[0] for _, v in variants]),
-            hi=np.array([v.value_range[1] for _, v in variants]),
-            finite=finite,
-        )
-
 
 @dataclass
 class TableEncoding:
     table_id: str
     columns: list[ColumnEncoding]
     packed: PackedVariants
-    n_rows: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_cols(self) -> int:
@@ -202,12 +176,6 @@ class DatasetEncoder:
             emb = (1 - self.hmrl_mix) * emb + self.hmrl_mix * roots
         return emb
 
-    def encode_column(self, col: np.ndarray, col_id: int) -> ColumnEncoding:
-        """One column, encoded as a one-column table."""
-        enc = self.encode_table(LakeTable("", [col])).columns[0]
-        enc.col_id = col_id
-        return enc
-
     def encode_table(self, table: LakeTable) -> TableEncoding:
         """Encode every column at once: ``LakeTable`` columns share one
         length, so each (op, window) variant is one pass over the
@@ -247,27 +215,29 @@ class DatasetEncoder:
                             agg.min(axis=1), agg.max(axis=1),
                         )
                     )
-        _, _, _, vmin, vmax = views[0]
-        columns = []
-        for j in range(x.shape[0]):
-            interval = (float(hull_lo[j]), float(hull_hi[j]))
-            value_range = (float(vmin[j]), float(vmax[j])) if finite[j] else (np.nan, np.nan)
-            variants = [
-                ColumnVariant(op, w, emb[j], value_range=(float(lo[j]), float(hi[j])))
-                for op, w, emb, lo, hi in views
-            ]
-            columns.append(
-                ColumnEncoding(
-                    col_id=j,
-                    interval=interval,
-                    value_range=value_range,
-                    variants=variants,
-                    mean_emb=variants[0].emb.mean(axis=0),
-                )
-            )
-        return TableEncoding(
-            table_id=table.table_id,
-            columns=columns,
-            packed=PackedVariants.of(columns, finite),
-            n_rows=n,
+        c = x.shape[0]
+        n_seg = np.array([emb.shape[1] for _, _, emb, _, _ in views])
+        packed = PackedVariants(
+            # column-major: column j's variants, each its segment rows
+            emb=unit_rows(
+                np.concatenate([emb for _, _, emb, _, _ in views], axis=1).reshape(-1, cfg.k)
+            ),
+            offsets=np.concatenate([[0], np.cumsum(np.tile(n_seg, c))]),
+            col=np.repeat(np.arange(c), len(views)),
+            op=np.tile([ALL_OPS.index(op) for op, *_ in views], c),
+            lo=np.column_stack([lo for *_, lo, _ in views]).ravel(),
+            hi=np.column_stack([hi for *_, hi in views]).ravel(),
+            finite=finite,
         )
+        _, _, ident, vmin, vmax = views[0]
+        columns = [
+            ColumnEncoding(
+                col_id=j,
+                interval=(float(hull_lo[j]), float(hull_hi[j])),
+                value_range=(float(vmin[j]), float(vmax[j])) if finite[j] else (np.nan, np.nan),
+                mean_emb=ident[j].mean(axis=0),
+                variants=[(op, w) for op, w, *_ in views],
+            )
+            for j in range(c)
+        ]
+        return TableEncoding(table_id=table.table_id, columns=columns, packed=packed)

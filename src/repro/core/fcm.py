@@ -75,15 +75,6 @@ class FCMModel:
         res = self.match(query, table_enc)
         return self.head(res.features) if res.kept_col_ids else 0.0
 
-    def infer_operator(self, query: QueryEncoding, table_enc: TableEncoding) -> str:
-        """Most likely aggregation operator per the MoE gate (majority
-        vote over matched lines)."""
-        res = self.match(query, table_enc)
-        if not res.inferred_ops:
-            return "id"
-        ops, counts = np.unique(res.inferred_ops, return_counts=True)
-        return str(ops[np.argmax(counts)])
-
 
 def make_model(
     cfg: FCMConfig | None = None,

@@ -152,14 +152,17 @@ class Projector:
         self.k = k
 
     def __call__(self, feats: np.ndarray) -> np.ndarray:
-        """Project ``(..., base_dim)`` features to ``(..., K)``."""
+        """Project ``(..., base_dim)`` features to ``(..., K)``.
+
+        One matmul per series (the last two axes): BLAS rounds a row by
+        its place in the matrix, so flattening the stack would make a
+        series' embedding depend on the series stacked with it."""
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         if feats.shape[-1] != self.base_dim:
             raise ValueError(
                 f"feature dim {feats.shape[-1]} != projector base_dim {self.base_dim}"
             )
-        flat = feats.reshape(-1, self.base_dim) @ self.w
-        return flat.reshape(*feats.shape[:-1], self.k)
+        return feats @ self.w
 
 
 class Attention:

@@ -49,6 +49,3 @@ class LSHIndex:
         for t, code in enumerate(self.codes(vec)):
             out |= self.buckets[t].get(code, set())
         return out
-
-    def n_items(self) -> int:
-        return len({p for tbl in self.buckets for s in tbl.values() for p in s})

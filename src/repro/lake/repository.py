@@ -1,12 +1,14 @@
 """The data lake as Spark DataFrames.
 
 The repository lives in long format — one row per column:
-``(table_id, col_id, values ARRAY<DOUBLE>)``. Column embeddings are
-precomputed with ``mapInPandas`` (the distributed-dataflow core of this
-reproduction): each executor slice featurizes its columns with the
-dataset encoder and emits column-level embedding vectors for the LSH
-index. The interval-tree keys are not computed here; the driver builds
-them with :func:`repro.core.data.interval_hulls`.
+``(table_id, col_id, values ARRAY<DOUBLE>)``. Column embeddings for the
+LSH index are precomputed with ``applyInPandas`` (the distributed-dataflow
+core of this reproduction): the rows are grouped by ``table_id`` and each
+table is one stacked no-DA ``encode_table`` pass, which emits each finite
+column's mean segment embedding. A column with a NaN or ±inf value gets
+no row, so it never enters the index. The interval-tree keys are not
+computed here; the driver builds them with
+:func:`repro.core.data.interval_hulls`.
 
 Also provides TPC-H-lite derived chartable tables (daily order/lineitem
 aggregates via Spark SQL) that join the repository as realistic
@@ -73,30 +75,32 @@ def iter_tables(pdf: pd.DataFrame) -> Iterator[LakeTable]:
 
 
 def embed_repository(spark_df: DataFrame, fcm_cfg) -> DataFrame:
-    """Distributed column-embedding job (mapInPandas).
+    """Distributed column-embedding job (``applyInPandas`` per table).
 
-    Emits one row per column with its column-level embedding (the mean of
-    the identity-variant segment embeddings, Sec. VI-A LSH indexing).
+    Emits one row per finite column with its column-level embedding: the
+    mean of its no-DA identity segment embeddings (Sec. VI-A LSH
+    indexing). Each table is one stacked ``encode_table`` pass over all
+    its columns, however the input is partitioned, so a vector is exactly
+    the one ``encode_table`` gives that column of the whole table.
     """
     from repro.core.dataset_encoder import DatasetEncoder
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        enc = DatasetEncoder(fcm_cfg.without_da())
-        for pdf in batches:
-            out = []
-            for _, row in pdf.iterrows():
-                col = np.asarray(row["values"], dtype=np.float64)
-                ce = enc.encode_column(col, int(row["col_id"]))
-                out.append(
-                    {
-                        "table_id": row["table_id"],
-                        "col_id": int(row["col_id"]),
-                        "emb": [float(x) for x in ce.mean_emb],
-                    }
-                )
-            yield pd.DataFrame(out, columns=["table_id", "col_id", "emb"])
+    enc = DatasetEncoder(fcm_cfg.without_da())
 
-    return spark_df.mapInPandas(run, schema=EMBED_SCHEMA)
+    def run(pdf: pd.DataFrame) -> pd.DataFrame:
+        pdf = pdf.sort_values("col_id")
+        (t,) = iter_tables(pdf)
+        te = enc.encode_table(t)
+        ok = te.packed.finite
+        return pd.DataFrame(
+            {
+                "table_id": pdf["table_id"][ok],
+                "col_id": pdf["col_id"][ok],
+                "emb": [c.mean_emb.tolist() for c in te.finite_columns],
+            }
+        )
+
+    return spark_df.groupBy("table_id").applyInPandas(run, schema=EMBED_SCHEMA)
 
 
 # --------------------------------------------------------------------------

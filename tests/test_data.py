@@ -103,17 +103,3 @@ class TestLakeTable:
             lo, hi = interval_hulls(x)
         assert np.isnan(lo[:3]).all() and np.isnan(hi[:3]).all()
         assert (lo[3], hi[3]) == (0.0, 3.0)
-
-    def test_perturbed_within_bounds(self):
-        rng = np.random.default_rng(0)
-        t = LakeTable("t", [np.full(100, 10.0)])
-        p = t.perturbed(rng, 0.9, 1.1, "t_d0")
-        assert p.table_id == "t_d0"
-        assert np.all(p.columns[0] >= 9.0) and np.all(p.columns[0] <= 11.0)
-        assert not np.allclose(p.columns[0], t.columns[0])
-
-    def test_perturbed_preserves_shape(self):
-        rng = np.random.default_rng(1)
-        t = LakeTable("t", [np.arange(10.0), np.ones(10)])
-        p = t.perturbed(rng, 0.9, 1.1, "p")
-        assert p.n_cols == 2 and p.n_rows == 10

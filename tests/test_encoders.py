@@ -1,5 +1,7 @@
 """Tests for the segment-level line chart and dataset encoders."""
+import pickle
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,13 +12,8 @@ from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
 from repro.config import AGG_OPS, ALL_OPS, FCMConfig
 from repro.core.data import LakeTable
-from repro.core.dataset_encoder import (
-    ColumnEncoding,
-    ColumnVariant,
-    DatasetEncoder,
-    HMRL,
-)
-from repro.core.features import Projector, feature_dim, znorm
+from repro.core.dataset_encoder import DatasetEncoder, HMRL, TableEncoding
+from repro.core.features import Projector, feature_dim, unit_rows, znorm
 from repro.core.line_encoder import LineChartEncoder
 
 
@@ -121,7 +118,26 @@ def _aggregate_ref(a: np.ndarray, op: str, window: int) -> np.ndarray:
     return np.append(out, f(tail)) if tail.size else out
 
 
-def encode_table_reference(enc: DatasetEncoder, table: LakeTable) -> list[ColumnEncoding]:
+@dataclass
+class RefVariant:
+    """One expert's view of a column: raw (not unit-norm) segment rows."""
+
+    op: str
+    window: int
+    emb: np.ndarray  # (N2_variant, K)
+    value_range: tuple[float, float]  # range of the transformed series
+
+
+@dataclass
+class RefColumn:
+    col_id: int
+    interval: tuple[float, float]
+    value_range: tuple[float, float]
+    mean_emb: np.ndarray
+    variants: list[RefVariant]
+
+
+def encode_table_reference(enc: DatasetEncoder, table: LakeTable) -> list[RefColumn]:
     """Every column, every (op, window) variant, encoded on its own."""
     cfg = enc.cfg
     out = []
@@ -129,7 +145,7 @@ def encode_table_reference(enc: DatasetEncoder, table: LakeTable) -> list[Column
         emb = encode_series_reference(col, cfg.p2, enc)
         if cfg.da_enabled and cfg.p2 >= 2**cfg.beta and col.size >= cfg.p2:
             emb = (1 - enc.hmrl_mix) * emb + enc.hmrl_mix * _hmrl_ref(col, cfg.p2, enc)
-        variants = [ColumnVariant("id", 1, emb, (float(col.min()), float(col.max())))]
+        variants = [RefVariant("id", 1, emb, (float(col.min()), float(col.max())))]
         if cfg.da_enabled:
             for op in AGG_OPS:
                 for w in cfg.da_windows:
@@ -138,18 +154,28 @@ def encode_table_reference(enc: DatasetEncoder, table: LakeTable) -> list[Column
                     agg = _aggregate_ref(col, op, w)
                     emb = encode_series_reference(agg, max(2, cfg.p2 // w), enc)
                     variants.append(
-                        ColumnVariant(op, w, emb, (float(agg.min()), float(agg.max())))
+                        RefVariant(op, w, emb, (float(agg.min()), float(agg.max())))
                     )
         out.append(
-            ColumnEncoding(
+            RefColumn(
                 col_id=col_id,
                 interval=(float(min(col.min(), col.sum())), float(max(col.max(), col.sum()))),
                 value_range=(float(col.min()), float(col.max())),
-                variants=variants,
                 mean_emb=variants[0].emb.mean(axis=0),
+                variants=variants,
             )
         )
     return out
+
+
+def packed_variants(te: TableEncoding, j: int) -> list[tuple[str, np.ndarray, float, float]]:
+    """Column ``j``'s variants as stored in ``te.packed``: ``(op, unit
+    segment rows, range lo, range hi)`` each, in packed order."""
+    pk = te.packed
+    return [
+        (ALL_OPS[pk.op[v]], pk.emb[pk.offsets[v] : pk.offsets[v + 1]], pk.lo[v], pk.hi[v])
+        for v in np.flatnonzero(pk.col == j)
+    ]
 
 
 # -- generated tables and queries (shared with tests/test_matcher.py) ---------
@@ -185,18 +211,23 @@ def model_config(variant: str) -> FCMConfig:
     return FCMConfig() if variant == "full" else FCMConfig().without_da()
 
 
-def assert_columns_close(got: list[ColumnEncoding], want: list[ColumnEncoding]) -> None:
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+def assert_columns_close(te: TableEncoding, want: list[RefColumn]) -> None:
+    """The first ``len(want)`` columns of ``te`` against the reference:
+    the records exactly or to 1e-15, each packed variant slice against the
+    reference rows made unit-norm to 1e-12."""
+    for j, w in enumerate(want):
+        g = te.columns[j]
         assert g.col_id == w.col_id
         np.testing.assert_allclose(g.interval, w.interval, rtol=1e-15)
         np.testing.assert_allclose(g.value_range, w.value_range, rtol=1e-15)
         np.testing.assert_allclose(g.mean_emb, w.mean_emb, rtol=0, atol=1e-12)
-        assert [(v.op, v.window) for v in g.variants] == [(v.op, v.window) for v in w.variants]
-        for gv, wv in zip(g.variants, w.variants):
-            assert gv.emb.shape == wv.emb.shape
-            np.testing.assert_allclose(gv.emb, wv.emb, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(gv.value_range, wv.value_range, rtol=1e-15)
+        assert g.variants == [(v.op, v.window) for v in w.variants]
+        got = packed_variants(te, j)
+        assert [op for op, *_ in got] == [v.op for v in w.variants]
+        for (_, emb, lo, hi), wv in zip(got, w.variants):
+            assert emb.shape == wv.emb.shape
+            np.testing.assert_allclose(emb, unit_rows(wv.emb), rtol=0, atol=1e-12)
+            np.testing.assert_allclose((lo, hi), wv.value_range, rtol=1e-15)
 
 
 class TestAgainstReference:
@@ -206,7 +237,8 @@ class TestAgainstReference:
         enc = DatasetEncoder(model_config(variant))
         with np.errstate(invalid="raise", divide="raise"):
             got = enc.encode_table(table)
-        assert_columns_close(got.columns, encode_table_reference(enc, table))
+        assert got.n_cols == table.n_cols
+        assert_columns_close(got, encode_table_reference(enc, table))
         assert got.packed.finite.all()
 
     @settings(max_examples=20, deadline=None)
@@ -223,14 +255,12 @@ class TestAgainstReference:
             want = encode_series_reference(line, enc.cfg.p1, enc)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_encode_column_is_one_column_table(self, cfg, rng):
+    def test_one_column_table(self, cfg, rng):
         enc = DatasetEncoder(cfg)
         col = rng.random(300)
-        ce = enc.encode_column(col, 7)
-        assert ce.col_id == 7
-        (want,) = encode_table_reference(enc, LakeTable("t", [col]))
-        want.col_id = 7
-        assert_columns_close([ce], [want])
+        te = enc.encode_table(LakeTable("t", [col]))
+        assert te.n_cols == 1 and te.packed.offsets[-1] == te.packed.emb.shape[0]
+        assert_columns_close(te, encode_table_reference(enc, LakeTable("t", [col])))
 
 
 class TestNonFinite:
@@ -244,10 +274,10 @@ class TestNonFinite:
         assert te.packed.finite.tolist() == [True, False]
         assert [c.col_id for c in te.finite_columns] == [0]
         assert np.isnan(te.columns[1].interval).all()
-        assert all(np.isfinite(v.emb).all() for v in te.columns[1].variants)
+        assert all(np.isfinite(emb).all() for _, emb, _, _ in packed_variants(te, 1))
         # the good column encodes as it would on its own
         assert_columns_close(
-            te.columns[:1], encode_table_reference(DatasetEncoder(cfg), LakeTable("t", cols[:1]))
+            te, encode_table_reference(DatasetEncoder(cfg), LakeTable("t", cols[:1]))
         )
 
 
@@ -298,54 +328,52 @@ class TestLineChartEncoder:
         assert coarse.line_embs[0].shape[0] == 4
 
 
+def encode_one(enc: DatasetEncoder, col: np.ndarray) -> TableEncoding:
+    return enc.encode_table(LakeTable("t", [col]))
+
+
 class TestDatasetEncoder:
     def test_identity_variant_always_first(self, cfg, rng):
-        enc = DatasetEncoder(cfg)
-        ce = enc.encode_column(rng.random(256), 0)
-        assert ce.variants[0].op == "id"
-        assert ce.identity.window == 1
+        te = encode_one(DatasetEncoder(cfg), rng.random(256))
+        assert te.columns[0].variants[0] == ("id", 1)
+        assert packed_variants(te, 0)[0][0] == "id"
 
     def test_da_variants_cover_all_ops(self, cfg, rng):
-        enc = DatasetEncoder(cfg)
-        ce = enc.encode_column(rng.random(512), 0)
-        ops = {v.op for v in ce.variants}
-        assert ops == set(ALL_OPS)
+        te = encode_one(DatasetEncoder(cfg), rng.random(512))
+        assert {op for op, _ in te.columns[0].variants} == set(ALL_OPS)
+        assert {op for op, *_ in packed_variants(te, 0)} == set(ALL_OPS)
 
     def test_no_da_config_only_identity(self, rng):
-        enc = DatasetEncoder(FCMConfig().without_da())
-        ce = enc.encode_column(rng.random(512), 0)
-        assert [v.op for v in ce.variants] == ["id"]
+        te = encode_one(DatasetEncoder(FCMConfig().without_da()), rng.random(512))
+        assert te.columns[0].variants == [("id", 1)]
+        assert [op for op, *_ in packed_variants(te, 0)] == ["id"]
 
     def test_variant_segment_alignment(self, cfg, rng):
         # aggregated variants keep (roughly) the identity's segment count
-        enc = DatasetEncoder(cfg)
-        ce = enc.encode_column(rng.random(640), 0)
-        n_id = ce.identity.emb.shape[0]
-        for v in ce.variants:
-            if v.window <= 16:
-                assert abs(v.emb.shape[0] - n_id) <= 1
+        te = encode_one(DatasetEncoder(cfg), rng.random(640))
+        (_, id_emb, _, _), *_ = packed_variants(te, 0)
+        for (_, w), (_, emb, _, _) in zip(te.columns[0].variants, packed_variants(te, 0)):
+            if w <= 16:
+                assert abs(emb.shape[0] - id_emb.shape[0]) <= 1
 
     def test_interval_is_min_sum_hull(self, cfg):
-        enc = DatasetEncoder(cfg)
-        ce = enc.encode_column(np.array([1.0, 2.0, 3.0] * 40), 0)
-        lo, hi = ce.interval
+        te = encode_one(DatasetEncoder(cfg), np.array([1.0, 2.0, 3.0] * 40))
+        lo, hi = te.columns[0].interval
         assert lo == 1.0
         assert hi == pytest.approx(240.0)  # sum dominates max
 
     def test_value_range_plain(self, cfg):
-        enc = DatasetEncoder(cfg)
-        ce = enc.encode_column(np.array([-5.0, 7.0] * 60), 0)
-        assert ce.value_range == (-5.0, 7.0)
+        te = encode_one(DatasetEncoder(cfg), np.array([-5.0, 7.0] * 60))
+        assert te.columns[0].value_range == (-5.0, 7.0)
 
     def test_variant_value_ranges_reflect_op(self, cfg, rng):
-        enc = DatasetEncoder(cfg)
-        col = rng.random(512) + 1.0
-        ce = enc.encode_column(col, 0)
-        for v in ce.variants:
-            if v.op == "sum" and v.window >= 8:
-                assert v.value_range[1] > ce.value_range[1]
-            if v.op == "min":
-                assert v.value_range[0] >= ce.value_range[0] - 1e-9
+        te = encode_one(DatasetEncoder(cfg), rng.random(512) + 1.0)
+        vlo, vhi = te.columns[0].value_range
+        for (op, w), (_, _, lo, hi) in zip(te.columns[0].variants, packed_variants(te, 0)):
+            if op == "sum" and w >= 8:
+                assert hi > vhi
+            if op == "min":
+                assert lo >= vlo - 1e-9
 
     def test_table_encoding_shape(self, cfg, rng):
         enc = DatasetEncoder(cfg)
@@ -357,14 +385,20 @@ class TestDatasetEncoder:
 
     def test_deterministic(self, cfg, rng):
         col = rng.random(300)
-        a = DatasetEncoder(cfg).encode_column(col, 0)
-        b = DatasetEncoder(cfg).encode_column(col.copy(), 0)
-        np.testing.assert_allclose(a.identity.emb, b.identity.emb)
+        a = encode_one(DatasetEncoder(cfg), col)
+        b = encode_one(DatasetEncoder(cfg), col.copy())
+        np.testing.assert_allclose(a.packed.emb, b.packed.emb)
 
     def test_short_column_no_crash(self, cfg):
-        enc = DatasetEncoder(cfg)
-        ce = enc.encode_column(np.array([1.0, 2.0, 3.0]), 0)
-        assert ce.identity.emb.shape[0] == 1
+        te = encode_one(DatasetEncoder(cfg), np.array([1.0, 2.0, 3.0]))
+        assert packed_variants(te, 0)[0][1].shape[0] == 1
+
+    def test_each_segment_row_stored_once(self, cfg, rng):
+        """The pickled encoding is its packed matrix plus small records:
+        no second copy of the segment rows rides along."""
+        t = LakeTable("t", [np.cumsum(rng.standard_normal(512)) for _ in range(10)])
+        te = DatasetEncoder(cfg).encode_table(t)
+        assert len(pickle.dumps(te)) < 1.25 * te.packed.emb.nbytes
 
 
 class TestHMRL:
@@ -386,6 +420,6 @@ class TestHMRL:
         col = rng.random(512)
         e_da = DatasetEncoder(FCMConfig())
         e_plain = DatasetEncoder(FCMConfig().without_da())
-        a = e_da.encode_column(col, 0).identity.emb
-        b = e_plain.encode_column(col, 0).identity.emb
+        a = packed_variants(encode_one(e_da, col), 0)[0][1]
+        b = packed_variants(encode_one(e_plain, col), 0)[0][1]
         assert not np.allclose(a, b)

@@ -116,6 +116,18 @@ class TestProjector:
         with pytest.raises(ValueError):
             p(np.ones((4, 9)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_series_projection_independent_of_stack(self, n):
+        """A series' projection is bit-identical alone and in a stack, for
+        odd segment counts too (a flattened stack would round its last
+        row differently)."""
+        rng = np.random.default_rng(n)
+        p = Projector(19, 24, seed=1)
+        feats = rng.standard_normal((5, n, 19))
+        stacked = p(feats)
+        for j in range(5):
+            assert np.array_equal(stacked[j], p(feats[j]))
+
     def test_roughly_preserves_cosine(self):
         rng = np.random.default_rng(0)
         p = Projector(19, 24, seed=1)

@@ -6,6 +6,7 @@ from pyspark.sql import functions as F
 
 from repro.config import FCMConfig
 from repro.core.data import LakeTable, interval_hulls
+from repro.core.dataset_encoder import DatasetEncoder
 from repro.lake.repository import (
     ORDERS_DAILY_SQL,
     TPCH_DAILY_SQL,
@@ -72,15 +73,30 @@ class TestRepositoryDF:
 
 class TestEmbedRepository:
     def test_embeddings_match_local_encoder(self, spark, repo, tables):
+        """Every column's vector is bit-identical to the no-DA table encode,
+        with the columns of each table spread over partitions."""
         cfg = FCMConfig()
-        emb = embed_repository(repo, cfg).toPandas()
+        spread = repo.repartition(3, "col_id")
+        parts = spread.select("table_id", F.spark_partition_id().alias("p")).toPandas()
+        assert parts.groupby("table_id")["p"].nunique().max() > 1
+        emb = embed_repository(spread, cfg).toPandas()
         assert len(emb) == repo.count()
-        from repro.core.dataset_encoder import DatasetEncoder
-
+        got = {(r.table_id, r.col_id): np.asarray(r.emb) for r in emb.itertuples()}
         enc = DatasetEncoder(cfg.without_da())
-        row = emb[(emb.table_id == "t0") & (emb.col_id == 0)].iloc[0]
-        want = enc.encode_column(tables["t0"].columns[0], 0).mean_emb
-        np.testing.assert_allclose(np.asarray(row["emb"]), want, rtol=1e-9)
+        for tid, t in tables.items():
+            for c in enc.encode_table(t).columns:
+                assert np.array_equal(got[(tid, c.col_id)], c.mean_emb)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_gets_no_row(self, spark, bad):
+        """A NaN / ±inf column would hash an all-zero vector into a real
+        LSH bucket; it is left out, the table's other columns are not."""
+        rng = np.random.default_rng(3)
+        cols = [rng.random(40) for _ in range(3)]
+        cols[1][7] = bad
+        df = repository_df(spark, [LakeTable("t", cols), LakeTable("u", [rng.random(40)])])
+        keys = {(r["table_id"], r["col_id"]) for r in embed_repository(df, FCMConfig()).collect()}
+        assert keys == {("t", 0), ("t", 2), ("u", 0)}
 
     def test_embedding_dim(self, repo):
         cfg = FCMConfig(k=16)

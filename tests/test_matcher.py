@@ -8,7 +8,7 @@ from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
 from repro.config import ALL_OPS, FCMConfig
 from repro.core.data import LakeTable, aggregate_series
-from repro.core.dataset_encoder import ColumnEncoding, DatasetEncoder, TableEncoding
+from repro.core.dataset_encoder import DatasetEncoder, TableEncoding
 from repro.core.bipartite import hungarian_max
 from repro.core.dtw import resample
 from repro.core.fcm import make_model
@@ -23,7 +23,7 @@ from repro.core.matcher import (
     match_global,
     range_iou,
 )
-from tests.test_encoders import tables
+from tests.test_encoders import RefColumn, encode_table_reference, tables
 
 _GATE_TAU = 12.0
 _RANGE_W = 0.6
@@ -66,9 +66,11 @@ def segment_scores(ev: np.ndarray, et: np.ndarray, tau: float) -> tuple[float, f
     return score, fwd
 
 
-def moe_column_score(ev, col: ColumnEncoding, tau: float, line_range=None):
+def moe_column_score(ev, col: RefColumn, tau: float, line_range=None):
     """Line-vs-column score through the MoE gate over operator experts:
-    ``(score, fwd, inferred_op, gate_confidence, range_iou)``."""
+    ``(score, fwd, inferred_op, gate_confidence, range_iou)``. The
+    column's segment rows come from ``encode_table_reference``, so the
+    oracle shares no encoding with the matcher under test."""
     per_op: dict[str, tuple[float, float, float]] = {}
     for var in col.variants:
         sc, fwd = segment_scores(ev, var.emb, tau)
@@ -90,8 +92,11 @@ def moe_column_score(ev, col: ColumnEncoding, tau: float, line_range=None):
     return score, fwd, ops[best], float(g[best]), per_op[ops[best]][2]
 
 
-def match_reference(query: QueryEncoding, table: TableEncoding, tau: float):
-    """``(features, pairs, inferred_ops, kept_col_ids)`` by the scalar loop."""
+def match_reference(
+    query: QueryEncoding, table: TableEncoding, ref: list[RefColumn], tau: float
+):
+    """``(features, pairs, inferred_ops, kept_col_ids)`` by the scalar loop
+    over ``ref``, the table's ``encode_table_reference`` columns."""
     cols = filter_columns(query, table)
     if not cols:
         return np.zeros(len(FEATURES_FULL)), [], [], []
@@ -105,7 +110,7 @@ def match_reference(query: QueryEncoding, table: TableEncoding, tau: float):
     for i, ev in enumerate(query.line_embs):
         for j, col in enumerate(cols):
             score[i, j], fwd[i, j], op_inf[i, j], conf[i, j], iou[i, j] = (
-                moe_column_score(ev, col, tau, line_range=line_ranges[i])
+                moe_column_score(ev, ref[col.col_id], tau, line_range=line_ranges[i])
             )
     pairs = hungarian_max(score)
     matched = np.array([score[i, j] for i, j in pairs])
@@ -271,7 +276,7 @@ class TestMoEGate:
     def test_gate_confidence_bounds(self, encoders):
         _, denc = encoders
         rng = np.random.default_rng(5)
-        ce = denc.encode_column(rng.random(400), 0)
+        (ce,) = encode_table_reference(denc, LakeTable("t", [rng.random(400)]))
         q = _query(encoders, [rng.random(100)])
         score, fwd, op, conf, iou = moe_column_score(
             q.line_embs[0], ce, tau=8.0, line_range=(0.0, 1.0)
@@ -292,7 +297,7 @@ class TestMoEGate:
         col[spikes] += rng.standard_normal(int(spikes.sum())) * 20
         agg = aggregate_series(col, "max", 8)
         q = line_enc.encode(extract(render_chart([agg])))
-        ce = denc.encode_column(col, 0)
+        (ce,) = encode_table_reference(denc, LakeTable("t", [col]))
         _, _, op, _, _ = moe_column_score(
             q.line_embs[0], ce, tau=8.0,
             line_range=(float(agg.min()), float(agg.max())),
@@ -334,7 +339,8 @@ class TestAgainstReference:
         q = model.encode_query(_query_for(np.random.default_rng(seed), table, m))
         with np.errstate(invalid="raise", divide="raise"):
             res = match_fine(q, te, tau=model.cfg.attn_tau)
-        feats, pairs, ops, kept = match_reference(q, te, tau=model.cfg.attn_tau)
+        ref = encode_table_reference(model.dataset_encoder, table)
+        feats, pairs, ops, kept = match_reference(q, te, ref, tau=model.cfg.attn_tau)
         np.testing.assert_allclose(res.features, feats, rtol=0, atol=1e-12)
         assert res.pairs == pairs
         assert res.inferred_ops == ops
