@@ -20,8 +20,8 @@ from _common import setup, trained_fcm
 from repro.bench.harness import FCMMethod, overall_metrics, run_method
 from repro.bench.tables import PAPER_TABLE8
 from repro.index.hybrid import STRATEGIES, build_hybrid_index, query_line_embeddings
-from repro.lake.repository import embed_repository
-from repro.lake.resident import resident_encodings, resident_repository
+from repro.lake.repository import embed_repository, repository_df
+from repro.lake.resident import resident_encodings
 
 
 def run(spark, bench) -> dict:
@@ -29,8 +29,7 @@ def run(spark, bench) -> dict:
     method = FCMMethod(model)
 
     # distributed column-embedding job feeds the LSH index
-    repo_df = resident_repository(spark, bench.repository)
-    emb_rows = embed_repository(repo_df, bench.cfg.fcm).collect()
+    emb_rows = embed_repository(repository_df(spark, bench.repository), bench.cfg.fcm).collect()
     column_embs = {
         (r["table_id"], r["col_id"]): np.asarray(r["emb"]) for r in emb_rows
     }

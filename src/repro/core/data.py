@@ -1,8 +1,9 @@
 """Core data model: tables, underlying data, and aggregation operators.
 
 * :class:`LakeTable` — an in-memory table (list of numeric columns). The
-  Spark lake stores the same thing in long format (``lake/repository.py``);
-  this class is the per-partition working representation inside pandas UDFs.
+  resident Spark lake holds these objects whole (``lake/resident.py``), and
+  the long-format DataFrame of ``lake/repository.py`` is decoded back into
+  them inside the embedding job's pandas UDF.
 * :func:`aggregate_series` — tumbling-window aggregation (Sec. II: avg,
   sum, max, min over a window size), the operator family behind DA-based
   queries.

@@ -9,7 +9,7 @@ evaluated in the paper:
 * ``FCM-DA`` — ablation without the DA layers (Sec. VII-D.2).
 
 A model instance is picklable (numpy arrays only) so it can be broadcast
-to Spark executors and used inside pandas UDFs.
+to Spark executors and used inside their Python tasks.
 """
 from __future__ import annotations
 

@@ -2,50 +2,45 @@
 
 The paper encodes the repository offline and spends query time only on
 matching (Sec. VI). This module holds, per SparkSession, two persisted
-DataFrames that every request reads instead of rebuilding:
+RDDs of whole tables that every request reads instead of rebuilding, the
+use RDDs were designed for: interactive queries over a cached working set
+(Zaharia et al., *Resilient Distributed Datasets*, NSDI 2012).
 
-* the raw repository, long format ``(table_id, col_id, values)``,
-  range-partitioned on ``table_id`` into ``defaultParallelism``
-  partitions, so a request over it is one wave of one task per core.
-  Range bounds split the rows (columns) about evenly; hashing 48 tables
-  into 4 partitions gave 20, 63, 101 and 119 columns, and the slowest
-  task sets a request's time;
-* the encoded repository ``(table_id, enc BINARY)``: each table's
-  pickled ``method.encode_table`` output, built from the raw one with
-  ``mapInPandas`` and materialised once.
+* the raw repository: every ``LakeTable`` in ``defaultParallelism``
+  partitions, so a request over it is one wave of one task per core. The
+  driver splits the tables (:func:`balanced_partitions`): the split is
+  deterministic, balanced by column count, and no table spans two
+  partitions, because the slowest task sets a request's time;
+* the encoded repository: ``(table_id, method.encode_table(table))`` for
+  every table of the raw one, in the same partitions.
+
+A request is one ``mapPartitions`` stage over one of them: each task
+reads its partition's pickled tables straight into its Python function,
+with no Arrow decode or shuffle.
 
 The raw artefact is keyed by the session's ``applicationId`` and a
 content fingerprint of the repository (:func:`repository_fingerprint`);
 the encoded one also by a sha256 of the pickled method, so a retrained
-head or another method re-encodes. A persisted DataFrame is therefore
-never served for other lake contents, another method or another session.
-When a key changes, the DataFrame it replaces is unpersisted: at most one
-raw and one encoded artefact stay resident.
+head or another method re-encodes. A persisted RDD is therefore never
+served for other lake contents, another method or another session. When
+a key changes, the RDD it replaces is unpersisted: at most one raw and
+one encoded artefact stay resident.
 """
 from __future__ import annotations
 
 import hashlib
 import pickle
-from typing import Callable, Iterator
+from typing import Callable
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import BinaryType, StringType, StructField, StructType
+from pyspark import RDD, StorageLevel
+from pyspark.sql import SparkSession
 
 from repro.core.data import LakeTable
-from repro.lake.repository import iter_tables, repository_df
 
-ENCODED_SCHEMA = StructType(
-    [
-        StructField("table_id", StringType(), False),
-        StructField("enc", BinaryType(), False),
-    ]
-)
-
-#: slot ("raw" / "encoded") -> (key, persisted DataFrame); the key's
-#: first element is the applicationId of the session that built it.
+#: slot ("raw" / "encoded") -> (key, persisted RDD); the key's first
+#: element is the applicationId of the session that built it.
 #: Process-wide, like the one active SparkContext a process may hold.
-_held: dict[str, tuple[tuple, DataFrame]] = {}
+_held: dict[str, tuple[tuple, RDD]] = {}
 
 
 def repository_fingerprint(tables: dict[str, LakeTable]) -> str:
@@ -63,9 +58,24 @@ def repository_fingerprint(tables: dict[str, LakeTable]) -> str:
     return h.hexdigest()
 
 
-def _resident(spark: SparkSession, slot: str, key: tuple, build: Callable[[], DataFrame]) -> DataFrame:
-    """The DataFrame held in ``slot`` under ``key``; on a miss, the old one
-    is unpersisted and ``build()`` is persisted and materialised."""
+def balanced_partitions(tables: dict[str, LakeTable], n: int) -> list[list[LakeTable]]:
+    """Whole tables in ``n`` groups of about equal column count: the
+    widest table first (ties on ``table_id``) joins the group with the
+    fewest columns so far (ties on the lowest group)."""
+    groups: list[list[LakeTable]] = [[] for _ in range(n)]
+    load = [0] * n
+    for t in sorted(tables.values(), key=lambda t: (-t.n_cols, t.table_id)):
+        i = load.index(min(load))
+        groups[i].append(t)
+        load[i] += t.n_cols
+    return groups
+
+
+def _resident(spark: SparkSession, slot: str, key: tuple, build: Callable[[], RDD]) -> RDD:
+    """The RDD held in ``slot`` under ``key``; on a miss, the old one is
+    unpersisted and ``build()`` is persisted and materialised. An evicted
+    partition spills to disk rather than being recomputed, which for the
+    encoded artefact would re-run ``encode_table``."""
     key = (spark.sparkContext.applicationId, *key)
     held = _held.get(slot)
     if held is not None and held[0] == key:
@@ -73,44 +83,31 @@ def _resident(spark: SparkSession, slot: str, key: tuple, build: Callable[[], Da
     if held is not None and held[0][0] == key[0]:  # a stopped session already dropped its cache
         held[1].unpersist()
     _held.pop(slot, None)
-    df = build().persist()
-    df.count()
-    _held[slot] = (key, df)
-    return df
+    rdd = build().persist(StorageLevel.MEMORY_AND_DISK)
+    rdd.count()
+    _held[slot] = (key, rdd)
+    return rdd
 
 
-def resident_repository(spark: SparkSession, tables: dict[str, LakeTable]) -> DataFrame:
-    """The persisted long-format repository, one partition per core."""
+def resident_repository(spark: SparkSession, tables: dict[str, LakeTable]) -> RDD:
+    """The persisted ``LakeTable`` RDD, one partition per core."""
+    sc = spark.sparkContext
+    n = sc.defaultParallelism
+    # one group per slice: parallelize never splits a group
     return _resident(
         spark, "raw", (repository_fingerprint(tables),),
-        lambda: repository_df(spark, tables).repartitionByRange(
-            spark.sparkContext.defaultParallelism, "table_id"
-        ),
+        lambda: sc.parallelize(balanced_partitions(tables, n), n).flatMap(lambda group: group),
     )
 
 
-def resident_encodings(spark: SparkSession, tables: dict[str, LakeTable], method) -> DataFrame:
-    """The persisted ``(table_id, enc)`` artefact: every table encoded once
-    by ``method.encode_table`` and pickled (the offline step of Sec. VI)."""
+def resident_encodings(spark: SparkSession, tables: dict[str, LakeTable], method) -> RDD:
+    """The persisted ``(table_id, encoding)`` RDD: every table encoded once
+    by ``method.encode_table`` (the offline step of Sec. VI)."""
     fingerprint = repository_fingerprint(tables)
     method_key = hashlib.sha256(pickle.dumps(method)).hexdigest()
-
-    def encode_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        # a table's columns may span Arrow batches, never partitions
-        pdfs = list(batches)
-        if not pdfs:
-            return
-        part = list(iter_tables(pd.concat(pdfs)))
-        yield pd.DataFrame(
-            {
-                "table_id": [t.table_id for t in part],
-                "enc": [pickle.dumps(method.encode_table(t)) for t in part],
-            }
-        )
-
     return _resident(
         spark, "encoded", (fingerprint, method_key),
-        lambda: resident_repository(spark, tables).mapInPandas(
-            encode_partition, schema=ENCODED_SCHEMA
+        lambda: resident_repository(spark, tables).map(
+            lambda t: (t.table_id, method.encode_table(t))
         ),
     )

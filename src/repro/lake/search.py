@@ -1,26 +1,25 @@
 """Distributed query scoring over the lake; the ranking runs on the driver.
 
-The scan+similarity-match core: a broadcast query payload is scored with
-``mapInPandas`` over the resident encoded repository
-(``repro.lake.resident``), one partition per core. Every table was
-encoded once per lake and method; a request unpickles each candidate
-table's encoding and scores it against *all* queries, and index pruning
-is a ``table_id IN (...)`` filter on the artefact. The ground truth
-Rel(D, T) is scored with ``mapInPandas`` over the resident raw
-repository. Both collect their ``(query_id, table_id, score)`` rows and
+The scan+similarity-match core. A request is one ``mapPartitions`` stage
+over a resident RDD of whole tables (``repro.lake.resident``), one task
+per core, whose payload (queries, method, candidate sets) travels as one
+broadcast that is destroyed once the rows are collected.
+:func:`score_with_method` reads each table's encoding, made once per lake
+and method, and scores it against *all* queries, skipping the pairs index
+pruning left out. :func:`spark_ground_truth` scores Rel(D, T) over the
+raw tables. Both collect their ``(query_id, table_id, score)`` rows and
 rank them on the driver with :func:`repro.bench.metrics.top_k`, the
 ranking the local ground truth uses too, so no request shuffles. prec@k
 and ndcg@k are computed on the driver from those rankings.
 """
 from __future__ import annotations
 
-import pickle
-from typing import Iterator
+from itertools import repeat
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import (
     DoubleType,
     StringType,
@@ -31,7 +30,6 @@ from pyspark.sql.types import (
 from repro.baselines.base import Method
 from repro.bench.metrics import top_k
 from repro.core.data import LakeTable
-from repro.lake.repository import iter_tables
 from repro.lake.resident import resident_encodings, resident_repository
 
 SCORES_SCHEMA = StructType(
@@ -43,6 +41,43 @@ SCORES_SCHEMA = StructType(
 )
 
 
+def _collect(spark: SparkSession, artefact: RDD, score_partition, payload) -> list[tuple]:
+    """``score_partition(payload, partition)`` over every partition of a
+    resident artefact, collected.
+
+    The payload is one broadcast, destroyed once the rows are in, so a
+    request leaves no file in the driver's temp directory whatever its
+    size. A payload in the task closure would leak above
+    ``spark.broadcast.UDFCompressionThreshold`` (1 MB), where PySpark
+    broadcasts the task itself and never destroys it.
+    """
+    bc = spark.sparkContext.broadcast(payload)
+    try:
+        return artefact.mapPartitions(lambda part: score_partition(bc.value, part)).collect()
+    finally:
+        bc.destroy()
+
+
+def _rel_rows(payload, tables):
+    from repro.core.relevance import rel_scores
+
+    qids, datas = payload
+    tables = list(tables)
+    if not tables:
+        return
+    tids = [t.table_id for t in tables]
+    for qid, row in zip(qids, rel_scores(datas, tables).tolist()):
+        yield from zip(repeat(qid), tids, row)
+
+
+def _method_rows(payload, encodings):
+    method, preps, candidates = payload
+    for tid, enc in encodings:
+        for qid, prep in preps:
+            if candidates is None or tid in candidates.get(qid, ()):
+                yield qid, tid, float(method.score(prep, enc))
+
+
 def spark_ground_truth(spark: SparkSession, bench) -> dict[str, list[str]]:
     """Ground-truth Rel(D, T) top-k per query, distributed over tables.
 
@@ -50,30 +85,12 @@ def spark_ground_truth(spark: SparkSession, bench) -> dict[str, list[str]]:
     :func:`rel_scores` call, all queries against all of its tables, so the
     DTW kernel's stacks span the whole partition.
     """
-    from repro.core.relevance import rel_scores
-
-    payload = [(q.query_id, [np.asarray(d) for d in q.data]) for q in bench.queries]
-    bc = spark.sparkContext.broadcast(payload)
-
-    def score_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        # a table's columns may span Arrow batches, never partitions
-        pdfs = list(batches)
-        tables = list(iter_tables(pd.concat(pdfs))) if pdfs else []
-        if not tables:
-            return
-        qids = [qid for qid, _ in bc.value]
-        rel = rel_scores([data for _, data in bc.value], tables)
-        yield pd.DataFrame(
-            {
-                "query_id": np.repeat(qids, len(tables)),
-                "table_id": [t.table_id for t in tables] * len(qids),
-                "score": rel.ravel(),
-            }
-        )
-
+    payload = (
+        [q.query_id for q in bench.queries],
+        [[np.asarray(d) for d in q.data] for q in bench.queries],
+    )
     repo = resident_repository(spark, bench.repository)
-    scores = repo.mapInPandas(score_partition, schema=SCORES_SCHEMA)
-    return ranked_topk(scores, bench.cfg.k)
+    return top_k(_collect(spark, repo, _rel_rows, payload), bench.cfg.k)
 
 
 def score_with_method(
@@ -89,34 +106,16 @@ def score_with_method(
     Tables are read already encoded from the resident artefact
     (:func:`resident_encodings`; the first call for a lake and method
     builds it), so a request only scores. ``candidates`` optionally
-    restricts scoring per query (index pruning, Sec. VI-A): table_ids
-    absent from a query's candidate set are skipped. Returns a DataFrame
-    (query_id, table_id, score).
+    restricts scoring per query (index pruning, Sec. VI-A): a pair whose
+    table_id is absent from its query's candidate set is not scored.
+    Returns the collected rows as a DataFrame (query_id, table_id, score)
+    made through Arrow, so reading it starts no Python worker.
     """
     encoded = resident_encodings(spark, repository, method)
-    if candidates is not None:
-        # index pruning: only read the tables some query still needs —
-        # this is where the Table VIII speedup comes from
-        union = set().union(*candidates.values())
-        encoded = encoded.filter(F.col("table_id").isin(sorted(union)))
     preps = [(q.query_id, method.prepare_query(q.extracted)) for q in queries]
-    bc = spark.sparkContext.broadcast((method, preps, candidates))
-
-    def score_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        mth, q_preps, cands = bc.value
-        for pdf in batches:
-            qids, tids, scores = [], [], []
-            for tid, blob in zip(pdf["table_id"], pdf["enc"]):
-                enc = pickle.loads(blob)
-                for qid, prep in q_preps:
-                    if cands is not None and tid not in cands.get(qid, ()):
-                        continue
-                    qids.append(qid)
-                    tids.append(tid)
-                    scores.append(float(mth.score(prep, enc)))
-            yield pd.DataFrame({"query_id": qids, "table_id": tids, "score": scores})
-
-    return encoded.mapInPandas(score_partition, schema=SCORES_SCHEMA)
+    rows = _collect(spark, encoded, _method_rows, (method, preps, candidates))
+    columns = zip(*rows) if rows else ([], [], [])
+    return spark.createDataFrame(pa.table(dict(zip(SCORES_SCHEMA.names, columns))), SCORES_SCHEMA)
 
 
 def ranked_topk(scores: DataFrame, k: int) -> dict[str, list[str]]:

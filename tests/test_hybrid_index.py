@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.data import LakeTable
+from repro.core.dataset_encoder import DatasetEncoder
 from repro.core.fcm import make_model
 from repro.index.hybrid import STRATEGIES, build_hybrid_index, query_line_embeddings
 
@@ -16,11 +17,14 @@ def world():
         base = rng.uniform(-200, 200)
         cols = [base + np.cumsum(rng.standard_normal(128)) * 3 for _ in range(2)]
         tables[f"t{i}"] = LakeTable(f"t{i}", cols)
-    embs = {}
-    for tid, t in tables.items():
-        te = model.encode_table(t)
-        for c in te.columns:
-            embs[(tid, c.col_id)] = c.mean_emb
+    # the vectors embed_repository emits and the Table VIII job indexes:
+    # each finite column's mean no-DA identity segment embedding
+    enc = DatasetEncoder(model.cfg.without_da())
+    embs = {
+        (tid, c.col_id): c.mean_emb
+        for tid, t in tables.items()
+        for c in enc.encode_table(t).finite_columns
+    }
     idx = build_hybrid_index(tables, embs, seed=0)
     return model, tables, idx
 

@@ -1,7 +1,9 @@
 """Spark tests for repro.lake.search and repro.lake.resident: distributed
 scoring, the resident lake, the collected top-k."""
+import os
 from types import SimpleNamespace
 
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark import StorageLevel
@@ -12,8 +14,9 @@ from repro.config import tiny_benchmark_config
 from repro.core.fcm import make_model
 from repro.bench.harness import FCMMethod
 from repro.core.data import LakeTable
-from repro.lake.resident import resident_encodings, resident_repository
-from repro.lake.search import ranked_topk, score_with_method
+from repro.core.relevance import rel_scores
+from repro.lake.resident import balanced_partitions, resident_encodings, resident_repository
+from repro.lake.search import ranked_topk, score_with_method, spark_ground_truth
 from tests.oracle import assert_equivalent
 
 
@@ -53,6 +56,17 @@ class TestSparkGroundTruth:
         local = compute_ground_truth(bench, spark=None)
         assert local == bench.ground_truth
 
+    def test_partition_rel_equals_whole_lake(self, spark, bench):
+        """Each partition's one rel_scores call gives bit for bit the Rel
+        values of one call over the whole lake, so the split moves no score."""
+        datas = [q.data for q in bench.queries]
+        tables = list(bench.repository.values())
+        whole = dict(zip((t.table_id for t in tables), rel_scores(datas, tables).T))
+        for group in balanced_partitions(bench.repository, spark.sparkContext.defaultParallelism):
+            part = rel_scores(datas, group)
+            for t, col in zip(group, part.T):
+                assert np.array_equal(col, whole[t.table_id])
+
 
 class TestScoreWithMethod:
     def test_all_pairs_scored(self, cml_scores, bench):
@@ -71,7 +85,7 @@ class TestScoreWithMethod:
         assert scores.count() == len(bench.queries)
 
     def test_fcm_method_distributed(self, spark, bench):
-        """The full FCM model survives broadcast + pandas-UDF execution."""
+        """The full FCM model survives the broadcast and executor-side scoring."""
         method = FCMMethod(make_model(bench.cfg.fcm))
         sub_queries = bench.queries[:2]
         sub_tables = {k: bench.repository[k] for k in list(bench.repository)[:8]}
@@ -114,7 +128,7 @@ class TestResidentLake:
             m.projector.w *= -1.5
         after = collect_scores(score_with_method(spark, lake, bench.queries, m))
         assert resident_encodings(spark, lake, m) is not old
-        assert old.storageLevel == StorageLevel.NONE
+        assert old.getStorageLevel() == StorageLevel.NONE
         assert after == driver_scores(m, lake, bench.queries)
         assert after != before
 
@@ -129,21 +143,26 @@ class TestResidentLake:
             base = persisted_rdds(spark) if base is None else base
             assert persisted_rdds(spark) == base
         *old, last = held
-        assert all(df.storageLevel == StorageLevel.NONE for pair in old for df in pair)
-        assert all(df.storageLevel != StorageLevel.NONE for df in last)
-        assert last[0].rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
+        assert all(rdd.getStorageLevel() == StorageLevel.NONE for pair in old for rdd in pair)
+        assert all(rdd.getStorageLevel() == StorageLevel.MEMORY_AND_DISK for rdd in last)
+        assert last[0].getNumPartitions() == spark.sparkContext.defaultParallelism
 
     def test_not_reused_across_sessions(self, spark, bench):
         lake = {tid: bench.repository[tid] for tid in sorted(bench.repository)[:3]}
         mine = resident_repository(spark, lake)
 
+        class OtherContext:
+            """This session's context, seen as another application's."""
+
+            applicationId = "another-app"
+
+            def __getattr__(self, name):
+                return getattr(spark.sparkContext, name)
+
         class OtherApp:
             """This session seen as another application."""
 
-            sparkContext = SimpleNamespace(
-                applicationId="another-app",
-                defaultParallelism=spark.sparkContext.defaultParallelism,
-            )
+            sparkContext = OtherContext()
 
             def __getattr__(self, name):
                 return getattr(spark, name)
@@ -166,6 +185,88 @@ class TestResidentLake:
         assert set(got) == {(qid, tid) for qid, ts in cands.items() for tid in ts}
         empty = score_with_method(spark, bench.repository, bench.queries, m, candidates={})
         assert empty.count() == 0
+
+
+def partition_tables(rdd, key=lambda t: t.table_id) -> list[list[str]]:
+    """The table ids held in each partition of a resident RDD, in order."""
+    return rdd.mapPartitions(lambda items: [[key(x) for x in items]]).collect()
+
+
+class TestLayout:
+    """Each resident RDD holds whole tables in ``defaultParallelism``
+    partitions, split on the driver by column count."""
+
+    def test_each_table_in_exactly_one_partition(self, spark, bench):
+        placed = resident_repository(spark, bench.repository).mapPartitionsWithIndex(
+            lambda i, tables: [
+                (t.table_id, j, i, c.tobytes()) for t in tables for j, c in enumerate(t.columns)
+            ]
+        ).collect()
+        where: dict[str, set[int]] = {}
+        for tid, _, part, _ in placed:
+            where.setdefault(tid, set()).add(part)
+        assert set(where) == set(bench.repository)
+        assert all(len(parts) == 1 for parts in where.values())
+        want = sorted(
+            (tid, j, c.tobytes()) for tid, t in bench.repository.items() for j, c in enumerate(t.columns)
+        )
+        assert sorted((tid, j, b) for tid, j, _, b in placed) == want
+        raw = partition_tables(resident_repository(spark, bench.repository))
+        m = CML(bench.cfg.fcm)
+        enc = partition_tables(resident_encodings(spark, bench.repository, m), key=lambda p: p[0])
+        assert enc == raw
+
+    def test_partition_count_is_default_parallelism(self, spark, bench):
+        n = spark.sparkContext.defaultParallelism
+        assert resident_repository(spark, bench.repository).getNumPartitions() == n
+        enc = resident_encodings(spark, bench.repository, CML(bench.cfg.fcm))
+        assert enc.getNumPartitions() == n
+
+    def test_split_is_the_driver_split(self, spark, bench):
+        groups = balanced_partitions(bench.repository, spark.sparkContext.defaultParallelism)
+        got = partition_tables(resident_repository(spark, bench.repository))
+        assert got == [[t.table_id for t in g] for g in groups]
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 60])
+    def test_balanced_and_deterministic(self, bench, n):
+        groups = balanced_partitions(bench.repository, n)
+        assert len(groups) == n
+        load = [sum(t.n_cols for t in g) for g in groups]
+        widest = max(t.n_cols for t in bench.repository.values())
+        assert max(load) - min(load) <= widest
+        shuffled = dict(reversed(list(bench.repository.items())))
+        assert balanced_partitions(shuffled, n) == groups
+
+
+class TestNoRequestLeftovers:
+    """A request's payload leaves no broadcast file behind in the driver's
+    temp directory, also above 1 MB, where PySpark would broadcast a task
+    closure that carried it by itself."""
+
+    @pytest.mark.parametrize("big", [False, True], ids=["small", "over_1mb"])
+    @pytest.mark.parametrize("kind", ["ground_truth", "scan"])
+    def test_temp_dir_flat_over_requests(self, spark, bench, kind, big):
+        m = CML(bench.cfg.fcm)
+        queries = bench.queries
+        if big:
+            ballast = np.linspace(0.0, 1.0, 150_000)  # resampled by Rel, ignored by CML
+            assert ballast.nbytes > 1 << 20
+            m.ballast = ballast
+            queries = [SimpleNamespace(query_id="long", data=[ballast])]
+        view = SimpleNamespace(cfg=bench.cfg, repository=bench.repository, queries=queries)
+
+        def request():
+            if kind == "ground_truth":
+                spark_ground_truth(spark, view)
+            else:
+                ranked_topk(score_with_method(spark, bench.repository, bench.queries, m), 3)
+
+        request()  # builds the resident artefacts
+        temp_dir = spark.sparkContext._temp_dir
+        before = len(os.listdir(temp_dir))
+        for _ in range(5):
+            request()
+        assert len(os.listdir(temp_dir)) == before
 
 
 class TestTopK:
