@@ -7,7 +7,7 @@ speedup mechanism (fewer (query, table) pairs) is visible in the timings.
 import pytest
 
 from repro.core.dataset_encoder import DatasetEncoder
-from repro.index.hybrid import build_hybrid_index, query_line_embeddings
+from repro.index.hybrid import LSH_BITS, LSH_TABLES, build_hybrid_index, query_line_embeddings
 from repro.index.interval_tree import build_table_interval_tree
 
 
@@ -25,7 +25,10 @@ def column_embs(bench, fcm_model):
 
 @pytest.fixture(scope="module")
 def index(bench, column_embs):
-    return build_hybrid_index(bench.repository, column_embs, seed=0)
+    """The Table VIII job's index."""
+    return build_hybrid_index(
+        bench.repository, column_embs, n_bits=LSH_BITS, n_tables=LSH_TABLES, seed=bench.cfg.seed
+    )
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,8 @@ from __future__ import annotations
 from _common import setup, trained_fcm
 
 from repro.bench.harness import default_methods, m_bucket_metrics, run_method
-from repro.bench.tables import M_ORDER, METHOD_ORDER, PAPER_TABLE3, fmt_row
+from repro.bench.plotly_lite import M_BUCKETS
+from repro.bench.tables import METHOD_ORDER, PAPER_TABLE3, fmt_row
 
 
 def run(spark, bench) -> dict:
@@ -25,7 +26,7 @@ def main(argv=None):
     got = run(spark, bench)
     print(f"\nTable III — effectiveness by M (k={bench.cfg.k})")
     print(f"{'':22s} " + "  ".join(f"{m:>6s}" for m in METHOD_ORDER))
-    for bucket in M_ORDER:
+    for bucket in M_BUCKETS:
         for metric in ("prec", "ndcg"):
             key = (bucket, metric)
             if key in got:

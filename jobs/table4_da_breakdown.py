@@ -12,7 +12,8 @@ from _common import setup, trained_fcm
 
 from repro.bench.benchmark import Benchmark, Query, compute_ground_truth
 from repro.bench.harness import FCMMethod, da_breakdown_metrics, run_method
-from repro.bench.tables import PAPER_TABLE4, WINDOW_BUCKETS
+from repro.bench.plotly_lite import WINDOW_BUCKETS
+from repro.bench.tables import PAPER_TABLE4
 from repro.chartsim.extractor import extract
 from repro.chartsim.renderer import render_chart
 from repro.chartsim.spec import VisSpec, underlying_data
@@ -32,7 +33,8 @@ def sweep_queries(
         base = next(q for q in bench.queries if q.source_table_id == tid)
         y_cols = base.spec.y_cols
         for op in AGG_OPS:
-            for lo, hi in ((2, 20), (20, 40), (40, 60), (60, 80), (80, 100)):
+            for lo, hi in WINDOW_BUCKETS.values():
+                lo = max(lo, 2)  # a window of 1 is no aggregation
                 hi_eff = min(hi, max(3, table.n_rows // 2))
                 if hi_eff <= lo:
                     continue

@@ -4,7 +4,8 @@ from __future__ import annotations
 from _common import setup, trained_fcm
 
 from repro.bench.harness import FCMMethod, m_bucket_metrics, overall_metrics, run_method
-from repro.bench.tables import M_ORDER, PAPER_TABLE5
+from repro.bench.plotly_lite import M_BUCKETS
+from repro.bench.tables import PAPER_TABLE5
 
 
 def run(spark, bench) -> dict:
@@ -23,7 +24,7 @@ def main(argv=None):
     spark, bench, _ = setup(argv)
     got = run(spark, bench)
     print(f"\nTable V — FCM vs FCM-HCMAN (prec@{bench.cfg.k}, ndcg@{bench.cfg.k})")
-    for bucket in ("Overall",) + M_ORDER:
+    for bucket in ("Overall", *M_BUCKETS):
         for name in ("FCM", "FCM-HCMAN"):
             m = got.get((name, bucket))
             pp, pn = PAPER_TABLE5[(bucket, name)]

@@ -19,7 +19,13 @@ from _common import setup, trained_fcm
 
 from repro.bench.harness import FCMMethod, overall_metrics, run_method
 from repro.bench.tables import PAPER_TABLE8
-from repro.index.hybrid import STRATEGIES, build_hybrid_index, query_line_embeddings
+from repro.index.hybrid import (
+    LSH_BITS,
+    LSH_TABLES,
+    STRATEGIES,
+    build_hybrid_index,
+    query_line_embeddings,
+)
 from repro.lake.repository import embed_repository, repository_df
 from repro.lake.resident import resident_encodings
 
@@ -38,11 +44,8 @@ def run(spark, bench) -> dict:
         f"[table8] columns left out of the LSH index (NaN or ±inf): {n_cols - len(emb_rows)}",
         flush=True,
     )
-    # 24-bit codes: our untrained embeddings are directionally concentrated
-    # (every column shares positional/scale channels), so the paper-style
-    # short codes collide on almost everything
     index = build_hybrid_index(
-        bench.repository, column_embs, n_bits=24, n_tables=4, seed=bench.cfg.seed
+        bench.repository, column_embs, n_bits=LSH_BITS, n_tables=LSH_TABLES, seed=bench.cfg.seed
     )
     print(f"[table8] index build seconds: {index.build_seconds}", flush=True)
 

@@ -40,8 +40,7 @@ def _render_embed(table: LakeTable, spec: VisSpec, cfg: ChartConfig) -> np.ndarr
 class DeepEyeLineNet(Method):
     name = "DE-LN"
 
-    def __init__(self, n_charts: int = 5, cfg: ChartConfig | None = None) -> None:
-        self.n_charts = n_charts
+    def __init__(self, cfg: ChartConfig | None = None) -> None:
         self.cfg = cfg or ChartConfig()
 
     def prepare_query(self, eq: ExtractedQuery) -> np.ndarray:
@@ -54,7 +53,7 @@ class DeepEyeLineNet(Method):
         if len(keep) < table.n_cols:
             table = LakeTable(table.table_id, [table.columns[i] for i in keep])
         embs = []
-        for spec in recommend(table, self.n_charts):
+        for spec in recommend(table):
             e = _render_embed(table, spec, self.cfg)
             if e is not None:
                 embs.append(e)

@@ -15,6 +15,9 @@ from repro.chartsim.spec import VisSpec
 from repro.core.data import LakeTable
 from repro.core.features import znorm
 
+#: line charts recommended per table (DE-LN compares each with the query)
+N_CHARTS = 5
+
 
 def column_goodness(col: np.ndarray) -> float:
     """Chartability score of a column (higher = more line-chart worthy)."""
@@ -29,14 +32,14 @@ def column_goodness(col: np.ndarray) -> float:
     return 0.6 * max(ac, 0.0) + 0.2 * (1.0 - min(rough, 1.0)) + 0.2 * spread
 
 
-def recommend(table: LakeTable, n_charts: int = 5) -> list[VisSpec]:
-    """Top-``n_charts`` recommended line-chart specs for a table."""
+def recommend(table: LakeTable) -> list[VisSpec]:
+    """The top :data:`N_CHARTS` recommended line-chart specs for a table."""
     scores = np.array([column_goodness(c) for c in table.columns])
     order = list(np.argsort(-scores))
     specs: list[VisSpec] = []
-    for ci in order[: n_charts - 1]:
+    for ci in order[: N_CHARTS - 1]:
         specs.append(VisSpec(y_cols=(int(ci),)))
     if table.n_cols >= 2:
         top = tuple(int(c) for c in order[: min(3, table.n_cols)])
         specs.append(VisSpec(y_cols=top))
-    return specs[:n_charts] or [VisSpec(y_cols=(0,))]
+    return specs[:N_CHARTS] or [VisSpec(y_cols=(0,))]

@@ -122,7 +122,7 @@ def make_queries(
             qid = f"{rec.table.table_id}_q{j}"
             data = underlying_data(rec.table, spec)
             chart = render_chart(data, cfg.chart)
-            eq = extract(chart, query_id=qid, meta={"m": spec.m, "is_da": spec.is_da})
+            eq = extract(chart, query_id=qid)
             queries.append(
                 Query(
                     query_id=qid,

@@ -19,7 +19,7 @@ from repro.baselines.combos import DeepEyeLineNet, OptLineNet
 from repro.baselines.qetch import QetchStar
 from repro.bench.benchmark import Benchmark, make_queries
 from repro.bench.metrics import ndcg_at_k, prec_at_k
-from repro.bench.plotly_lite import m_bucket_label
+from repro.bench.plotly_lite import m_bucket_label, window_bucket_label
 from repro.chartsim.extractor import ExtractedQuery
 from repro.config import BenchmarkConfig
 from repro.core.data import LakeTable
@@ -86,15 +86,12 @@ def sub_benchmark(
 # --------------------------------------------------------------------------
 # training
 # --------------------------------------------------------------------------
-def build_triplets(bench: Benchmark, model: FCMModel, *, include_da: bool = True):
-    """(V, D, T) triplets + table encodings from the train/val splits."""
+def build_triplets(bench: Benchmark, model: FCMModel):
+    """(V, D, T) triplets + table encodings from the train/val splits: a
+    plain and a DA chart per table."""
     rng = np.random.default_rng(bench.cfg.seed + 17)
     records = bench.train_records + bench.val_records
-    cfg = BenchmarkConfig(
-        charts_per_table=2 if include_da else 1,
-        chart=bench.cfg.chart,
-        seed=bench.cfg.seed,
-    )
+    cfg = BenchmarkConfig(charts_per_table=2, chart=bench.cfg.chart, seed=bench.cfg.seed)
     queries = make_queries(records, cfg, rng)
     tables = {r.table.table_id: r.table for r in records}
     encs = {tid: model.encode_table(t) for tid, t in tables.items()}
@@ -175,12 +172,10 @@ def per_query_metrics(
     }
 
 
-def bucketed_metrics(
-    run: MethodRun, bench: Benchmark, bucket_fn
-) -> dict[str, dict[str, float]]:
+def bucketed_metrics(run: MethodRun, bench: Benchmark, bucket_fn) -> dict:
     """Mean metrics per bucket; bucket_fn(Query) -> label or None (skip)."""
     pq = per_query_metrics(run, bench)
-    buckets: dict[str, list[dict[str, float]]] = {}
+    buckets: dict = {}
     for q in bench.queries:
         label = bucket_fn(q)
         if label is None:
@@ -214,28 +209,11 @@ def m_bucket_metrics(run: MethodRun, bench: Benchmark) -> dict[str, dict[str, fl
     return bucketed_metrics(run, bench, lambda q: m_bucket_label(q.m))
 
 
-def da_breakdown_metrics(
-    run: MethodRun, bench: Benchmark, window_edges: tuple[int, ...] = (20, 40, 60, 80, 101)
-) -> dict[tuple[str, str], float]:
-    """prec@k per (operator, window bucket) — Table IV."""
-    pq = per_query_metrics(run, bench)
-    cells: dict[tuple[str, str], list[float]] = {}
-    lo = 0
-    labels = []
-    for hi in window_edges:
-        labels.append(f"{lo}-{hi - 1 if hi == 101 else hi}")
-        lo = hi
-    for q in bench.queries:
-        if not q.is_da:
-            continue
-        lo = 0
-        label = None
-        for hi, lab in zip(window_edges, labels):
-            if lo <= q.spec.window < hi:
-                label = lab
-                break
-            lo = hi
-        if label is None:
-            continue
-        cells.setdefault((q.spec.agg_op, label), []).append(pq[q.query_id]["prec"])
-    return {kk: float(np.mean(v)) for kk, v in cells.items()}
+def da_breakdown_metrics(run: MethodRun, bench: Benchmark) -> dict[tuple[str, str], float]:
+    """prec@k per (operator, window bucket) of the DA queries — Table IV."""
+
+    def cell(q) -> tuple[str, str] | None:
+        bucket = window_bucket_label(q.spec.window) if q.is_da else None
+        return None if bucket is None else (q.spec.agg_op, bucket)
+
+    return {key: m["prec"] for key, m in bucketed_metrics(run, bench, cell).items()}

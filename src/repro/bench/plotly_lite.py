@@ -21,21 +21,32 @@ from repro.chartsim.spec import ChartRecord, VisSpec
 from repro.config import AGG_OPS, BenchmarkConfig
 from repro.core.data import LakeTable
 
-#: Table I repository proportions per M bucket, and the bucket M ranges.
-M_BUCKETS = ((1, 1), (2, 4), (5, 7), (8, 10))
-M_BUCKET_LABELS = ("1", "2-4", "5-7", ">7")
+#: Tables I/III/V's line-count buckets: label -> (fewest, most) lines the
+#: generator draws; :func:`m_bucket_label` files any larger M in the last.
+M_BUCKETS = {"1": (1, 1), "2-4": (2, 4), "5-7": (5, 7), ">7": (8, 10)}
+#: Table I repository proportions per M bucket.
 M_BUCKET_WEIGHTS = (0.36, 0.25, 0.21, 0.18)
+#: Table IV's DA-window buckets: label -> (lo, hi). A window w is in the
+#: bucket with lo <= w < hi; the last also holds w == hi, the largest
+#: window :func:`da_spec` draws.
+WINDOW_BUCKETS = {
+    f"{lo}-{hi}": (lo, hi) for lo, hi in ((0, 20), (20, 40), (40, 60), (60, 80), (80, 100))
+}
 
 
 def m_bucket_label(m: int) -> str:
     """Bucket label for a line count, matching Tables I/III/V."""
-    if m <= 1:
-        return "1"
-    if m <= 4:
-        return "2-4"
-    if m <= 7:
-        return "5-7"
-    return ">7"
+    *first, last = M_BUCKETS
+    return next((label for label in first if m <= M_BUCKETS[label][1]), last)
+
+
+def window_bucket_label(window: int) -> str | None:
+    """Table IV bucket label for a DA window; None past the last bucket."""
+    *_, last = WINDOW_BUCKETS
+    for label, (lo, hi) in WINDOW_BUCKETS.items():
+        if lo <= window < hi or (label == last and window == hi):
+            return label
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -135,13 +146,13 @@ def gen_table(
     table = LakeTable(table_id, cols)
     y_cols = tuple(int(i) for i in rng.choice(n_cols, size=m, replace=False))
     spec = VisSpec(y_cols=y_cols)
-    return ChartRecord(table=table, spec=spec, meta={"family": family, "m": m})
+    return ChartRecord(table=table, spec=spec)
 
 
 def sample_m(rng: np.random.Generator) -> int:
     """Draw a line count from the Table I bucket mix."""
     b = rng.choice(len(M_BUCKETS), p=np.asarray(M_BUCKET_WEIGHTS))
-    lo, hi = M_BUCKETS[b]
+    lo, hi = list(M_BUCKETS.values())[b]
     return int(rng.integers(lo, hi + 1))
 
 
@@ -163,7 +174,7 @@ def gen_corpus(
     out = []
     for i in range(n_tables):
         if stratify:
-            lo, hi = M_BUCKETS[i % len(M_BUCKETS)]
+            lo, hi = list(M_BUCKETS.values())[i % len(M_BUCKETS)]
             m = int(rng.integers(lo, hi + 1))
         else:
             m = sample_m(rng)

@@ -85,10 +85,9 @@ PAPER_TABLE9 = {
 }
 
 METHOD_ORDER = ("CML", "DE-LN", "Opt-LN", "Qetch*", "FCM")
-M_ORDER = ("1", "2-4", "5-7", ">7")
-WINDOW_BUCKETS = ("0-20", "20-40", "40-60", "60-80", "80-100")
 
 
-def fmt_row(label: str, values: dict[str, float], order=METHOD_ORDER, nd: int = 3) -> str:
-    cells = "  ".join(f"{values.get(m, float('nan')):.{nd}f}" for m in order)
+def fmt_row(label: str, values: dict[str, float]) -> str:
+    """A label and each method's value in :data:`METHOD_ORDER`."""
+    cells = "  ".join(f"{values.get(m, float('nan')):.3f}" for m in METHOD_ORDER)
     return f"{label:<22s} {cells}"

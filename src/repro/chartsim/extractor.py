@@ -39,7 +39,6 @@ class ExtractedQuery:
     y_range: tuple[float, float]
     raster: np.ndarray
     query_id: str = ""
-    meta: dict | None = None
 
     @property
     def m(self) -> int:
@@ -63,7 +62,7 @@ def fit_calibration(ticks: list[tuple[int, float]]) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def extract(chart: LineChart, query_id: str = "", meta: dict | None = None) -> ExtractedQuery:
+def extract(chart: LineChart, query_id: str = "") -> ExtractedQuery:
     """Run the full extraction pipeline on a rendered chart."""
     cfg = chart.cfg
     plot = chart.plot_area
@@ -98,7 +97,6 @@ def extract(chart: LineChart, query_id: str = "", meta: dict | None = None) -> E
         y_range=(min(vals), max(vals)),
         raster=chart.raster.copy(),
         query_id=query_id,
-        meta=meta,
     )
 
 

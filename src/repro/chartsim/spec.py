@@ -7,7 +7,7 @@ the data series ``D = {d_1..d_M}`` that the chart presents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,4 +60,3 @@ class ChartRecord:
 
     table: LakeTable
     spec: VisSpec
-    meta: dict = field(default_factory=dict)

@@ -12,7 +12,7 @@
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,12 +76,11 @@ class LakeTable:
     """An in-memory numeric table (the unit of discovery).
 
     ``columns`` holds the numeric columns as float64 arrays; all columns
-    share the same length (``n_rows``). ``names`` are informational.
+    share the same length (``n_rows``).
     """
 
     table_id: str
     columns: list[np.ndarray]
-    names: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.columns = [np.asarray(c, dtype=np.float64).ravel() for c in self.columns]
@@ -92,10 +91,6 @@ class LakeTable:
             raise ValueError(f"table {self.table_id}: ragged columns {lens}")
         if 0 in lens:
             raise ValueError(f"table {self.table_id}: columns have no rows")
-        if not self.names:
-            self.names = [f"c{i}" for i in range(len(self.columns))]
-        if len(self.names) != len(self.columns):
-            raise ValueError(f"table {self.table_id}: names/columns mismatch")
 
     @property
     def n_cols(self) -> int:

@@ -13,7 +13,7 @@ to Spark executors and used inside their Python tasks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class FCMModel:
 
     cfg: FCMConfig
     variant: str = "full"
-    head: LogisticHead | None = None
+    head: LogisticHead = field(init=False)
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -47,16 +47,15 @@ class FCMModel:
         self.cfg = cfg
         self.line_encoder = LineChartEncoder(cfg)
         self.dataset_encoder = DatasetEncoder(cfg)
-        if self.head is None:
-            self.head = (
-                LogisticHead.default_global()
-                if self.variant == "no_hcman"
-                else LogisticHead.default_full()
-            )
+        self.head = (
+            LogisticHead.default_global()
+            if self.variant == "no_hcman"
+            else LogisticHead.default_full()
+        )
 
     # -- encoding --------------------------------------------------------
     def encode_query(self, eq: ExtractedQuery) -> QueryEncoding:
-        return self.line_encoder.encode(eq, keep_raster=False)
+        return self.line_encoder.encode(eq)
 
     def encode_table(self, table: LakeTable) -> TableEncoding:
         return self.dataset_encoder.encode_table(table)
@@ -76,9 +75,5 @@ class FCMModel:
         return self.head(res.features) if res.kept_col_ids else 0.0
 
 
-def make_model(
-    cfg: FCMConfig | None = None,
-    variant: str = "full",
-    head: LogisticHead | None = None,
-) -> FCMModel:
-    return FCMModel(cfg=cfg or FCMConfig(), variant=variant, head=head)
+def make_model(cfg: FCMConfig | None = None, variant: str = "full") -> FCMModel:
+    return FCMModel(cfg=cfg or FCMConfig(), variant=variant)

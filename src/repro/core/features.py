@@ -33,6 +33,9 @@ from repro.core.dtw import resample
 _SCALE_W = 0.25
 #: weight of the positional channel
 _POS_W = 0.5
+#: attention temperature, and weight of the attended mix in the residual
+_ATTN_TAU = 4.0
+_ATTN_MIX = 0.3
 
 
 def znorm(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,22 +171,20 @@ class Projector:
 class Attention:
     """One seeded (untrained) self-attention layer with residual mixing."""
 
-    def __init__(self, k: int, seed: int, tau: float = 4.0, mix: float = 0.3) -> None:
+    def __init__(self, k: int, seed: int) -> None:
         rng = np.random.default_rng(seed)
         self.wq = rng.standard_normal((k, k)) / np.sqrt(k)
         self.wk = rng.standard_normal((k, k)) / np.sqrt(k)
-        self.tau = tau
-        self.mix = mix
 
     def __call__(self, e: np.ndarray) -> np.ndarray:
         """Mix the segments (axis -2) of each ``(..., N, K)`` sequence."""
         e = np.atleast_2d(e)
         q, kk = e @ self.wq, e @ self.wk
-        logits = q @ np.swapaxes(kk, -1, -2) / (self.tau * np.sqrt(e.shape[-1]))
+        logits = q @ np.swapaxes(kk, -1, -2) / (_ATTN_TAU * np.sqrt(e.shape[-1]))
         logits -= logits.max(axis=-1, keepdims=True)
         a = np.exp(logits)
         a /= a.sum(axis=-1, keepdims=True)
-        return e + self.mix * (a @ e)
+        return e + _ATTN_MIX * (a @ e)
 
 
 def encode_series(
@@ -192,7 +193,7 @@ def encode_series(
     *,
     n_profile: int,
     projector: Projector,
-    attention: Attention | None = None,
+    attention: Attention,
 ) -> np.ndarray:
     """Full encoder for one series, or each row of a ``(..., L)`` stack of
     equal-length series: znorm -> segment -> featurize -> project ->
@@ -200,10 +201,7 @@ def encode_series(
     z, mu, sigma = znorm(series)
     segs = split_segments(z, seg_len)
     feats = segment_features(segs, mu, sigma, n_profile)
-    emb = projector(feats)
-    if attention is not None:
-        emb = attention(emb)
-    return emb
+    return attention(projector(feats))
 
 
 def unit_rows(a: np.ndarray) -> np.ndarray:

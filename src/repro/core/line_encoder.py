@@ -4,10 +4,11 @@ Consumes the extractor's value-space line traces (one value per pixel
 column) and produces, per line, a sequence of ``N1 = W / P1`` segment
 embeddings. The trace is already calibrated into data space via the
 y-ticks, so chart-side and dataset-side embeddings live in one space.
+Of the traces themselves the matcher reads only each line's value range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +24,12 @@ from repro.core.features import (
 
 @dataclass
 class QueryEncoding:
-    """Encoded line chart query: E_V plus the raw extraction artefacts."""
+    """Encoded line chart query: E_V plus what matching reads of the chart."""
 
     query_id: str
     line_embs: list[np.ndarray]     # per line: (N1, K)
-    traces: list[np.ndarray]        # per line: value-space pixel trace
-    y_range: tuple[float, float]
-    raster: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    line_ranges: np.ndarray         # (M, 2): each line's [min, max] value
+    y_range: tuple[float, float]    # tick-derived value range
 
     @property
     def m(self) -> int:
@@ -46,13 +45,13 @@ class LineChartEncoder:
         self.projector = Projector(base, cfg.k, seed=cfg.seed)
         self.attention = Attention(cfg.k, seed=cfg.seed + 1)
 
-    def encode(self, eq: ExtractedQuery, keep_raster: bool = True) -> QueryEncoding:
+    def encode(self, eq: ExtractedQuery) -> QueryEncoding:
         if not eq.lines:
             raise ValueError("query has no extracted lines")
-        traces = [np.asarray(t, dtype=np.float64) for t in eq.lines]
         # the extractor's lines share the plot width: one stack of M lines
+        traces = np.vstack([np.asarray(t, dtype=np.float64) for t in eq.lines])
         embs = encode_series(
-            np.vstack(traces),
+            traces,
             self.cfg.p1,
             n_profile=self.cfg.n_profile,
             projector=self.projector,
@@ -61,8 +60,6 @@ class LineChartEncoder:
         return QueryEncoding(
             query_id=eq.query_id,
             line_embs=list(embs),
-            traces=traces,
+            line_ranges=np.column_stack([traces.min(axis=1), traces.max(axis=1)]),
             y_range=eq.y_range,
-            raster=eq.raster if keep_raster else None,
-            meta=dict(eq.meta or {}),
         )

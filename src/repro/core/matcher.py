@@ -27,6 +27,7 @@ from repro.core.bipartite import hungarian_max
 from repro.core.dataset_encoder import ColumnEncoding, TableEncoding
 from repro.core.features import cosine_matrix, unit_rows
 from repro.core.line_encoder import QueryEncoding
+from repro.index.interval_tree import pad_query_range
 
 #: feature names of the full (fine-grained) matcher
 FEATURES_FULL = (
@@ -65,15 +66,12 @@ def range_iou(a: tuple, b: tuple) -> np.ndarray:
     )
 
 
-def filter_columns(
-    query: QueryEncoding, table: TableEncoding, pad: float = 0.25
-) -> list[ColumnEncoding]:
+def filter_columns(query: QueryEncoding, table: TableEncoding) -> list[ColumnEncoding]:
     """Tick-based column filter (Sec. IV-C): keep finite columns whose
-    ``[min, sum]`` hull overlaps the padded query y-range; fall back to
-    all finite columns if the filter empties the table."""
-    qlo, qhi = query.y_range
-    span = max(qhi - qlo, 1e-12)
-    lo, hi = qlo - pad * span, qhi + pad * span
+    ``[min, sum]`` hull overlaps the padded query y-range, the range the
+    interval tree is probed with; fall back to all finite columns if the
+    filter empties the table."""
+    lo, hi = pad_query_range(query.y_range)
     finite = table.finite_columns
     kept = [c for c in finite if c.interval[0] <= hi and c.interval[1] >= lo]
     return kept or finite
@@ -133,8 +131,7 @@ def match_fine(query: QueryEncoding, table: TableEncoding, tau: float) -> MatchR
     )
     # range-consistency bonus: the transformed series should live where the
     # line lives (the value-space evidence the y-ticks provide)
-    line_lo = np.array([np.min(t) for t in query.traces])[:, None]
-    line_hi = np.array([np.max(t) for t in query.traces])[:, None]
+    line_lo, line_hi = query.line_ranges[:, :1], query.line_ranges[:, 1:]
     iou = range_iou((line_lo, line_hi), (pk.lo[keep], pk.hi[keep]))
     total = seg + _RANGE_W * iou
 
@@ -206,8 +203,8 @@ def match_global(query: QueryEncoding, table: TableEncoding) -> MatchResult:
     t = np.mean([c.mean_emb for c in cols], axis=0)
     cos = float(cosine_matrix(v[None, :], t[None, :])[0, 0])
     # one global range check: union of line ranges vs union of column ranges
-    qlo = min(float(np.min(tr)) for tr in query.traces)
-    qhi = max(float(np.max(tr)) for tr in query.traces)
+    qlo = float(query.line_ranges[:, 0].min())
+    qhi = float(query.line_ranges[:, 1].max())
     clo = min(c.value_range[0] for c in cols)
     chi = max(c.value_range[1] for c in cols)
     ro = range_iou((qlo, qhi), (clo, chi))

@@ -22,6 +22,9 @@ from repro.core.dtw import dtw_distances, fit_length
 #: falling at a few hundred pairs; at ``max_len`` 128 a stack of this
 #: many pairs holds about 4 MB.
 STACK_PAIRS = 512
+#: Sakoe-Chiba band and series length cap of the ground truth's DTW
+GT_BAND = 16
+GT_MAX_LEN = 128
 
 
 def _rel_weights(
@@ -61,8 +64,8 @@ def rel_scores(
     datas: list[list[np.ndarray]],
     tables: list[LakeTable],
     *,
-    band: int | None = 16,
-    max_len: int | None = 128,
+    band: int | None = GT_BAND,
+    max_len: int | None = GT_MAX_LEN,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rel(D, T) of every (data, table) pair: a ``(len(datas), len(tables))``
@@ -98,24 +101,13 @@ def rel_scores(
     return out
 
 
-def relevance_matrix(
-    data: list[np.ndarray],
-    table: LakeTable,
-    *,
-    band: int | None = 16,
-    max_len: int | None = 128,
-) -> np.ndarray:
-    """rel(d_i, C_j) for every data series x column pair."""
+def relevance_matrix(data: list[np.ndarray], table: LakeTable) -> np.ndarray:
+    """rel(d_i, C_j) for every data series x column pair, as the ground
+    truth scores it."""
     keep = np.ones((len(data), table.n_cols), dtype=bool)
-    return _rel_weights(data, table.columns, keep, band=band, max_len=max_len)
+    return _rel_weights(data, table.columns, keep, band=GT_BAND, max_len=GT_MAX_LEN)
 
 
-def rel_score(
-    data: list[np.ndarray],
-    table: LakeTable,
-    *,
-    band: int | None = 16,
-    max_len: int | None = 128,
-) -> float:
+def rel_score(data: list[np.ndarray], table: LakeTable) -> float:
     """Rel(D, T): mean weight of the max-weight bipartite matching."""
-    return float(rel_scores([data], [table], band=band, max_len=max_len)[0, 0])
+    return float(rel_scores([data], [table])[0, 0])

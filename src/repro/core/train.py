@@ -25,6 +25,17 @@ from repro.core.matcher import LogisticHead
 from repro.core.relevance import rel_scores
 
 STRATEGIES = ("random", "easy", "hard", "semihard")
+#: triplets per mini-batch: negatives are drawn from the batch-mates' tables
+BATCH_SIZE = 8
+#: DTW band and length cap of the Rel(D, T) that ranks a batch's negative
+#: candidates (the ground truth's are ``relevance.GT_BAND``/``GT_MAX_LEN``)
+NEG_BAND = 8
+NEG_MAX_LEN = 64
+#: gradient step and L2 weight of the head fit
+LR = 0.5
+L2 = 1e-3
+#: share of the training pairs held out for validation
+VAL_FRAC = 0.25
 
 
 @dataclass
@@ -82,15 +93,13 @@ def build_training_set(
     *,
     n_neg: int = 3,
     strategy: str = "semihard",
-    batch_size: int = 8,
     seed: int = 0,
-    rel_max_len: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialise (X, y) from positive triplets + sampled negatives."""
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     order = rng.permutation(len(triplets))
-    batches = [order[s : s + batch_size] for s in range(0, len(order), batch_size)]
+    batches = [order[s : s + BATCH_SIZE] for s in range(0, len(order), BATCH_SIZE)]
     # Rel(D, T) of each triplet against its batch-mates' tables, for all
     # batches in one call so the DTW kernel's stacks span the whole set
     tids = sorted({t.table_id for t in triplets})
@@ -102,7 +111,7 @@ def build_training_set(
         mask[batch, own] = False
     rel = rel_scores(
         [t.data for t in triplets], [tables[tid] for tid in tids],
-        max_len=rel_max_len, band=8, mask=mask,
+        band=NEG_BAND, max_len=NEG_MAX_LEN, mask=mask,
     )
     for batch in batches:
         ids = [triplets[i].table_id for i in batch]
@@ -127,8 +136,6 @@ def fit_head(
     y: np.ndarray,
     *,
     epochs: int = 60,
-    lr: float = 0.5,
-    l2: float = 1e-3,
     x_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
     seed: int = 0,
@@ -157,8 +164,8 @@ def fit_head(
     for epoch in range(1, epochs + 1):
         p = _sigmoid(x @ w + b)
         grad_z = sw * (p - y)
-        w -= lr * (x.T @ grad_z + l2 * w)
-        b -= lr * float(grad_z.sum())
+        w -= LR * (x.T @ grad_z + L2 * w)
+        b -= LR * float(grad_z.sum())
         entry = {"epoch": epoch, "train_loss": _nll(p, y, sw)}
         if x_val is not None and y_val is not None and len(np.asarray(y_val)):
             pv = _sigmoid(x_val @ w + b)
@@ -185,7 +192,6 @@ def train_model(
     n_neg: int = 3,
     strategy: str = "semihard",
     epochs: int = 60,
-    val_frac: float = 0.25,
     seed: int = 0,
 ) -> TrainResult:
     """End-to-end: sample negatives, split train/val, fit, install head."""
@@ -195,7 +201,7 @@ def train_model(
     )
     rng = np.random.default_rng(seed + 1)
     idx = rng.permutation(len(y))
-    n_val = int(len(y) * val_frac)
+    n_val = int(len(y) * VAL_FRAC)
     val, tr = idx[:n_val], idx[n_val:]
     result = fit_head(
         x[tr], y[tr], epochs=epochs,

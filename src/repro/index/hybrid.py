@@ -22,6 +22,11 @@ from repro.index.interval_tree import (
 from repro.index.lsh import LSHIndex
 
 STRATEGIES = ("none", "interval", "lsh", "hybrid")
+#: the LSH shape Table VIII builds. 24-bit codes: our untrained embeddings
+#: are directionally concentrated (every column shares positional/scale
+#: channels), so the paper-style short codes collide on almost everything
+LSH_BITS = 24
+LSH_TABLES = 4
 
 
 @dataclass
@@ -37,7 +42,6 @@ class HybridIndex:
         *,
         y_range: tuple[float, float],
         line_embs: list[np.ndarray],
-        pad: float = 0.25,
     ) -> set[str]:
         """Candidate table ids for one query under a strategy."""
         if strategy not in STRATEGIES:
@@ -46,7 +50,7 @@ class HybridIndex:
             return set(self.all_tables)
         s1 = s2 = None
         if strategy in ("interval", "hybrid"):
-            s1 = interval_tree_candidates(self.tree, y_range, pad)
+            s1 = interval_tree_candidates(self.tree, y_range)
         if strategy in ("lsh", "hybrid"):
             s2 = set()
             for emb in line_embs:
@@ -62,9 +66,9 @@ def build_hybrid_index(
     tables: dict[str, LakeTable],
     column_embs: dict[tuple[str, int], np.ndarray],
     *,
-    n_bits: int = 12,
-    n_tables: int = 6,
-    seed: int = 0,
+    n_bits: int,
+    n_tables: int,
+    seed: int,
 ) -> HybridIndex:
     """Build both indexes; ``column_embs`` maps (table_id, col_id) to the
     column-level embedding from the dataset encoder (the Spark

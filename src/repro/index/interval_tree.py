@@ -99,7 +99,12 @@ class IntervalTree:
             self._query(node.right, qlo, qhi, out)
 
 
-def pad_query_range(y_range: tuple[float, float], pad: float = 0.25) -> tuple[float, float]:
+#: share of the tick range added on each side of a query's y-range: the
+#: slack for tick rounding, in the tree probe and in the matcher's filter
+QUERY_PAD = 0.25
+
+
+def pad_query_range(y_range: tuple[float, float], pad: float = QUERY_PAD) -> tuple[float, float]:
     """Pad the tick-derived y-range before probing (tick rounding slack)."""
     lo, hi = y_range
     span = max(hi - lo, 1e-12)
@@ -118,7 +123,7 @@ def build_table_interval_tree(tables: dict[str, LakeTable]) -> IntervalTree:
 
 
 def interval_tree_candidates(
-    tree: IntervalTree, y_range: tuple[float, float], pad: float = 0.25
+    tree: IntervalTree, y_range: tuple[float, float], pad: float = QUERY_PAD
 ) -> set[str]:
     qlo, qhi = pad_query_range(y_range, pad)
     return set(tree.query(qlo, qhi))

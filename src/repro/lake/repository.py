@@ -155,7 +155,6 @@ def tpch_derived_tables(spark: SparkSession, *, sf: float = 0.001, seed: int = 0
             daily["revenue"].to_numpy(dtype=np.float64),
             daily["avg_discount"].to_numpy(dtype=np.float64),
         ],
-        names=["qty", "revenue", "avg_discount"],
     )
     out["tpch_orders_daily"] = LakeTable(
         "tpch_orders_daily",
@@ -163,6 +162,5 @@ def tpch_derived_tables(spark: SparkSession, *, sf: float = 0.001, seed: int = 0
             odaily["total"].to_numpy(dtype=np.float64),
             odaily["n_orders"].to_numpy(dtype=np.float64),
         ],
-        names=["total", "n_orders"],
     )
     return out

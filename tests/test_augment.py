@@ -21,7 +21,6 @@ def reverse(table: LakeTable, table_id: str | None = None) -> LakeTable:
     return LakeTable(
         table_id or f"{table.table_id}__rev",
         [c[::-1].copy() for c in table.columns],
-        list(table.names),
     )
 
 
@@ -35,8 +34,8 @@ def partition(
         split = int(rng.integers(max(1, n // 4), max(2, 3 * n // 4)))
     if not (0 < split < n):
         raise ValueError(f"split {split} out of range (0, {n})")
-    a = LakeTable(f"{table.table_id}__p0", [c[:split].copy() for c in table.columns], list(table.names))
-    b = LakeTable(f"{table.table_id}__p1", [c[split:].copy() for c in table.columns], list(table.names))
+    a = LakeTable(f"{table.table_id}__p0", [c[:split].copy() for c in table.columns])
+    b = LakeTable(f"{table.table_id}__p1", [c[split:].copy() for c in table.columns])
     return a, b
 
 
@@ -47,7 +46,6 @@ def down_sample(table: LakeTable, rho: int, table_id: str | None = None) -> Lake
     return LakeTable(
         table_id or f"{table.table_id}__ds{rho}",
         [c[::rho].copy() for c in table.columns],
-        list(table.names),
     )
 
 

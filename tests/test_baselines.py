@@ -110,7 +110,7 @@ class TestDeepEye:
 
     def test_recommend_count(self, rng):
         t = LakeTable("t", [rng.random(100) for _ in range(6)])
-        specs = recommend(t, 5)
+        specs = recommend(t)
         assert 1 <= len(specs) <= 5
 
     def test_recommend_valid_columns(self, rng):

@@ -69,7 +69,6 @@ class TestLakeTable:
     def test_basic_properties(self):
         t = LakeTable("t", [np.arange(5), np.ones(5)])
         assert t.n_cols == 2 and t.n_rows == 5
-        assert t.names == ["c0", "c1"]
 
     def test_ragged_raises(self):
         with pytest.raises(ValueError):
@@ -83,10 +82,6 @@ class TestLakeTable:
     def test_zero_row_columns_raise(self, columns):
         with pytest.raises(ValueError, match="no rows"):
             LakeTable("t", columns)
-
-    def test_names_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            LakeTable("t", [np.ones(3)], names=["a", "b"])
 
     def test_column_intervals_hull(self):
         # min=-5, max=3, sum=-3 -> hull [-5, 3]

@@ -77,11 +77,12 @@ def _features_ref(segs: np.ndarray, mu: float, sigma: float, n_profile: int) -> 
 
 
 def _attention_ref(e: np.ndarray, att) -> np.ndarray:
-    logits = (e @ att.wq) @ (e @ att.wk).T / (att.tau * np.sqrt(e.shape[1]))
+    """Temperature 4 and residual mix 0.3, the encoders' attention."""
+    logits = (e @ att.wq) @ (e @ att.wk).T / (4.0 * np.sqrt(e.shape[1]))
     logits -= logits.max(axis=1, keepdims=True)
     a = np.exp(logits)
     a /= a.sum(axis=1, keepdims=True)
-    return e + att.mix * (a @ e)
+    return e + 0.3 * (a @ e)
 
 
 def encode_series_reference(series: np.ndarray, seg_len: int, enc) -> np.ndarray:
@@ -302,9 +303,11 @@ class TestLineChartEncoder:
     def test_multi_line(self, cfg, rng):
         enc = LineChartEncoder(cfg)
         data = [np.cumsum(rng.standard_normal(150)) + 40 * i for i in range(3)]
-        q = enc.encode(extract(render_chart(data)))
+        eq = extract(render_chart(data))
+        q = enc.encode(eq)
         assert q.m == 3
-        assert len(q.traces) == 3
+        want = [[float(np.min(t)), float(np.max(t))] for t in eq.lines]
+        assert q.line_ranges.tolist() == want
 
     def test_y_range_passthrough(self, cfg):
         enc = LineChartEncoder(cfg)

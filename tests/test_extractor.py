@@ -110,10 +110,9 @@ class TestExtractRoundTrip:
         eq = extract(render_chart([s], cfg))
         assert abs(eq.lines[0].mean() - 1234.5) / 1234.5 < 0.05
 
-    def test_query_id_and_meta_passthrough(self, cfg):
-        eq = extract(render_chart([np.ones(10)], cfg), query_id="q7", meta={"m": 1})
+    def test_query_id_passthrough(self, cfg):
+        eq = extract(render_chart([np.ones(10)], cfg), query_id="q7")
         assert eq.query_id == "q7"
-        assert eq.meta == {"m": 1}
 
     def test_many_lines(self, cfg):
         rng = np.random.default_rng(2)

@@ -145,7 +145,7 @@ class TestAttention:
         assert att(e).shape == (5, 8)
 
     def test_residual_dominates(self):
-        att = Attention(8, seed=0, mix=0.3)
+        att = Attention(8, seed=0)
         e = np.random.default_rng(1).standard_normal((5, 8))
         out = att(e)
         # output stays close to input (residual + bounded mixing)
@@ -155,22 +155,25 @@ class TestAttention:
 class TestEncodeSeries:
     def test_output_shape(self):
         p = Projector(feature_dim(8), 16, seed=0)
-        emb = encode_series(np.random.default_rng(0).random(128), 32, n_profile=8, projector=p)
+        att = Attention(16, seed=1)
+        emb = encode_series(np.random.default_rng(0).random(128), 32, n_profile=8, projector=p, attention=att)
         assert emb.shape == (4, 16)
 
     def test_same_series_same_embedding(self):
         p = Projector(feature_dim(8), 16, seed=0)
+        att = Attention(16, seed=1)
         s = np.random.default_rng(1).random(100)
-        a = encode_series(s, 25, n_profile=8, projector=p)
-        b = encode_series(s.copy(), 25, n_profile=8, projector=p)
+        a = encode_series(s, 25, n_profile=8, projector=p, attention=att)
+        b = encode_series(s.copy(), 25, n_profile=8, projector=p, attention=att)
         np.testing.assert_allclose(a, b)
 
     def test_scale_invariant_shape_channels(self):
         # 2x-scaled series: z-space features identical, only scale channels move
         p = Projector(feature_dim(8), 16, seed=0)
+        att = Attention(16, seed=1)
         s = np.random.default_rng(2).random(96)
-        a = encode_series(s, 24, n_profile=8, projector=p)
-        b = encode_series(s * 2 + 5, 24, n_profile=8, projector=p)
+        a = encode_series(s, 24, n_profile=8, projector=p, attention=att)
+        b = encode_series(s * 2 + 5, 24, n_profile=8, projector=p, attention=att)
         sims = np.diag(cosine_matrix(a, b))
         assert np.all(sims > 0.9)
 

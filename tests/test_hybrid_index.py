@@ -2,10 +2,27 @@
 import numpy as np
 import pytest
 
+from repro.bench.benchmark import build_benchmark
+from repro.config import BenchmarkConfig, tiny_benchmark_config
 from repro.core.data import LakeTable
 from repro.core.dataset_encoder import DatasetEncoder
 from repro.core.fcm import make_model
-from repro.index.hybrid import STRATEGIES, build_hybrid_index, query_line_embeddings
+from repro.core.matcher import filter_columns
+from repro.index.hybrid import (
+    LSH_BITS,
+    LSH_TABLES,
+    STRATEGIES,
+    build_hybrid_index,
+    query_line_embeddings,
+)
+from repro.index.interval_tree import (
+    build_table_interval_tree,
+    interval_tree_candidates,
+    pad_query_range,
+)
+
+#: the Table VIII job's index: its LSH shape and the bench config's seed
+INDEX = dict(n_bits=LSH_BITS, n_tables=LSH_TABLES, seed=BenchmarkConfig().seed)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +42,7 @@ def world():
         for tid, t in tables.items()
         for c in enc.encode_table(t).finite_columns
     }
-    idx = build_hybrid_index(tables, embs, seed=0)
+    idx = build_hybrid_index(tables, embs, **INDEX)
     return model, tables, idx
 
 
@@ -83,7 +100,32 @@ class TestHybridIndex:
     def test_empty_embeddings_raise(self, world):
         _, tables, _ = world
         with pytest.raises(ValueError):
-            build_hybrid_index(tables, {})
+            build_hybrid_index(tables, {}, **INDEX)
 
     def test_all_strategies_enumerable(self):
         assert STRATEGIES == ("none", "interval", "lsh", "hybrid")
+
+
+def test_tree_probe_and_column_filter_share_one_range():
+    """Table VIII's interval == scan rests on this: on the tiny lake, a
+    table is a tree candidate exactly when some finite column's interval
+    overlaps the padded query range, and the matcher then keeps exactly
+    those columns."""
+    bench = build_benchmark(tiny_benchmark_config())
+    model = make_model(bench.cfg.fcm)
+    tree = build_table_interval_tree(bench.repository)
+    encs = {tid: model.encode_table(t) for tid, t in bench.repository.items()}
+    n_partial = 0
+    for q in bench.queries:
+        qe = model.encode_query(q.extracted)
+        lo, hi = pad_query_range(qe.y_range)
+        probed = interval_tree_candidates(tree, qe.y_range)
+        for tid, te in encs.items():
+            overlap = [
+                c.col_id for c in te.finite_columns if c.interval[0] <= hi and c.interval[1] >= lo
+            ]
+            assert (tid in probed) == bool(overlap), (q.query_id, tid)
+            if overlap:
+                assert [c.col_id for c in filter_columns(qe, te)] == overlap, (q.query_id, tid)
+                n_partial += len(overlap) < te.n_cols
+    assert n_partial  # the filter dropped a column somewhere

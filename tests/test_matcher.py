@@ -93,15 +93,20 @@ def moe_column_score(ev, col: RefColumn, tau: float, line_range=None):
 
 
 def match_reference(
-    query: QueryEncoding, table: TableEncoding, ref: list[RefColumn], tau: float
+    query: QueryEncoding,
+    lines: list[np.ndarray],
+    table: TableEncoding,
+    ref: list[RefColumn],
+    tau: float,
 ):
     """``(features, pairs, inferred_ops, kept_col_ids)`` by the scalar loop
-    over ``ref``, the table's ``encode_table_reference`` columns."""
+    over ``ref``, the table's ``encode_table_reference`` columns; each
+    line's value range is taken from ``lines``, the extracted traces."""
     cols = filter_columns(query, table)
     if not cols:
         return np.zeros(len(FEATURES_FULL)), [], [], []
     m, nc = query.m, len(cols)
-    line_ranges = [(float(np.min(t)), float(np.max(t))) for t in query.traces]
+    line_ranges = [(float(np.min(t)), float(np.max(t))) for t in lines]
     score = np.empty((m, nc))
     fwd = np.empty((m, nc))
     op_inf = np.empty((m, nc), dtype=object)
@@ -336,11 +341,12 @@ class TestAgainstReference:
     def test_match_fine(self, table, m, variant, seed):
         model = make_model(FCMConfig(), variant)
         te = model.encode_table(table)
-        q = model.encode_query(_query_for(np.random.default_rng(seed), table, m))
+        eq = _query_for(np.random.default_rng(seed), table, m)
+        q = model.encode_query(eq)
         with np.errstate(invalid="raise", divide="raise"):
             res = match_fine(q, te, tau=model.cfg.attn_tau)
         ref = encode_table_reference(model.dataset_encoder, table)
-        feats, pairs, ops, kept = match_reference(q, te, ref, tau=model.cfg.attn_tau)
+        feats, pairs, ops, kept = match_reference(q, eq.lines, te, ref, tau=model.cfg.attn_tau)
         np.testing.assert_allclose(res.features, feats, rtol=0, atol=1e-12)
         assert res.pairs == pairs
         assert res.inferred_ops == ops

@@ -12,6 +12,7 @@ from repro.bench.plotly_lite import (
     m_bucket_label,
     partial_spec,
     sample_m,
+    window_bucket_label,
 )
 from repro.config import BenchmarkConfig, tiny_benchmark_config
 
@@ -22,6 +23,15 @@ class TestBucketLabel:
     )
     def test_labels(self, m, label):
         assert m_bucket_label(m) == label
+
+    @pytest.mark.parametrize(
+        "window,label",
+        [(2, "0-20"), (19, "0-20"), (20, "20-40"), (79, "60-80"), (80, "80-100"),
+         (100, "80-100"), (101, None)],
+    )
+    def test_window_labels(self, window, label):
+        """[lo, hi) buckets; the last one also holds 100, da_spec's largest."""
+        assert window_bucket_label(window) == label
 
 
 class TestColumns:

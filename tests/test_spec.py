@@ -55,6 +55,6 @@ class TestUnderlyingData:
 
 class TestChartRecord:
     def test_holds_pair(self, table):
-        rec = ChartRecord(table=table, spec=VisSpec(y_cols=(0,)), meta={"x": 1})
+        rec = ChartRecord(table=table, spec=VisSpec(y_cols=(0,)))
         assert rec.table.table_id == "t"
-        assert rec.meta["x"] == 1
+        assert rec.spec.y_cols == (0,)

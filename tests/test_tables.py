@@ -1,7 +1,8 @@
 """Tests for repro.bench.tables (paper-number transcription sanity)."""
+from repro.bench.plotly_lite import M_BUCKETS, WINDOW_BUCKETS
 from repro.bench.tables import (
-    M_ORDER,
     METHOD_ORDER,
+    PAPER_TABLE1,
     PAPER_TABLE2,
     PAPER_TABLE3,
     PAPER_TABLE4,
@@ -10,7 +11,6 @@ from repro.bench.tables import (
     PAPER_TABLE7,
     PAPER_TABLE8,
     PAPER_TABLE9,
-    WINDOW_BUCKETS,
     fmt_row,
 )
 
@@ -31,7 +31,7 @@ class TestPaperNumbers:
 
     def test_table3_degrades_with_m(self):
         for method in METHOD_ORDER:
-            precs = [PAPER_TABLE3[(b, "prec")][method] for b in M_ORDER]
+            precs = [PAPER_TABLE3[(b, "prec")][method] for b in M_BUCKETS]
             assert precs[0] > precs[-1]
 
     def test_table4_collapse_past_p2(self):
@@ -42,7 +42,7 @@ class TestPaperNumbers:
             assert small > large
 
     def test_table5_fcm_beats_ablation(self):
-        for bucket in ("Overall",) + M_ORDER:
+        for bucket in ("Overall", *M_BUCKETS):
             assert PAPER_TABLE5[(bucket, "FCM")][0] > PAPER_TABLE5[(bucket, "FCM-HCMAN")][0]
 
     def test_table6_da_layers_matter_most_on_da(self):
@@ -73,4 +73,8 @@ class TestFormatting:
         assert "0.500" in s and "nan" in s
 
     def test_window_buckets_order(self):
-        assert WINDOW_BUCKETS == ("0-20", "20-40", "40-60", "60-80", "80-100")
+        assert list(WINDOW_BUCKETS) == ["0-20", "20-40", "40-60", "60-80", "80-100"]
+
+    def test_bucket_labels_are_the_papers(self):
+        assert list(PAPER_TABLE1["Query"])[1:] == list(M_BUCKETS)
+        assert all(list(row) == list(WINDOW_BUCKETS) for row in PAPER_TABLE4.values())

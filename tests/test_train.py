@@ -58,7 +58,7 @@ class TestFitHead:
         x_neg = rng.normal(-1.0, 0.2, size=(40, 3))
         x = np.vstack([x_pos, x_neg])
         y = np.array([1.0] * 40 + [0.0] * 40)
-        res = fit_head(x, y, epochs=100, lr=0.5)
+        res = fit_head(x, y, epochs=100)
         p = np.array([res.head(row) for row in x])
         assert ((p > 0.5) == (y > 0.5)).mean() > 0.95
 
