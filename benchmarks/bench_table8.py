@@ -40,7 +40,7 @@ def probe(bench, fcm_model, query_encodings):
 
 def test_interval_tree_build(benchmark, bench):
     tree = benchmark(build_table_interval_tree, bench.repository)
-    assert tree.root is not None
+    assert tree.table_ids == tuple(bench.repository) and tree.lo.size > 0
 
 
 @pytest.mark.parametrize("strategy", ["none", "interval", "lsh", "hybrid"])

@@ -7,8 +7,10 @@
 * :func:`aggregate_series` — tumbling-window aggregation (Sec. II: avg,
   sum, max, min over a window size), the operator family behind DA-based
   queries.
-* :func:`interval_hulls` — the per-column index interval (Sec. VI-A), the
-  one definition shared by the interval tree and the dataset encoder.
+* The interval rule (Sec. IV-C, VI-A), the one definition the index
+  probe and the matcher's column filter share: :func:`interval_keys`
+  (each column's key), :func:`pad_query_range` (the query side) and
+  :func:`overlaps` (the closed-interval test between them).
 """
 from __future__ import annotations
 
@@ -50,25 +52,53 @@ def aggregate_series(a: np.ndarray, op: str, window: int) -> np.ndarray:
     return out
 
 
-def interval_hulls(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index interval ``[min(min, sum), max(max, sum)]`` of each row of a
-    ``(C, n)`` column stack (Sec. VI-A).
+def interval_keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index key ``[lo, hi]`` of each row of a ``(C, n)`` column stack:
+    the least and the greatest sum of a contiguous run of its values
+    (Sec. VI-A).
 
     The paper indexes each column by the value range any aggregation of
-    it can reach: min under ``min``, sum under ``sum``. When a column has
-    negative values its plain sum can undershoot the min, so the key is
-    the hull of {min, max, sum}. A row with a NaN or ±inf value has no
-    interval: both bounds are NaN.
+    it can reach. Every tumbling-window ``sum`` is a contiguous-run sum,
+    and every ``avg``, ``min`` or ``max`` lies between the smallest and
+    the largest single value, which are runs of length one. With prefix
+    sums ``c`` (``c_0 = 0``), ``hi = max_j (c_j - min_{i<j} c_i)`` and
+    ``lo = min_j (c_j - max_{i<j} c_i)``. On a column without mixed signs
+    this is ``[min, sum]`` (or ``[sum, max]``). Both bounds then move out
+    by ``2 n eps sum|x|``, a bound on the rounding error of an ``n``-term
+    float sum, so the key holds for window results as computed, not only
+    for exact sums. A row with a NaN or ±inf value has no key: both
+    bounds are NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     finite = np.isfinite(x).all(axis=1)
     # zero the non-finite rows first, so no reduction sees inf - inf
     x = np.where(finite[:, None], x, 0.0)
-    total = x.sum(axis=1)
-    lo = np.minimum(x.min(axis=1), total)
-    hi = np.maximum(x.max(axis=1), total)
+    c = np.concatenate([np.zeros((len(x), 1)), np.cumsum(x, axis=1)], axis=1)
+    hi = (c[:, 1:] - np.minimum.accumulate(c[:, :-1], axis=1)).max(axis=1)
+    lo = (c[:, 1:] - np.maximum.accumulate(c[:, :-1], axis=1)).min(axis=1)
+    tol = 2 * x.shape[1] * np.finfo(np.float64).eps * np.abs(x).sum(axis=1)
+    lo, hi = lo - tol, hi + tol
     lo[~finite] = hi[~finite] = np.nan
     return lo, hi
+
+
+#: share of the tick range added on each side of a query's y-range: the
+#: slack for tick rounding, in the index probe and in the matcher's filter
+QUERY_PAD = 0.25
+
+
+def pad_query_range(y_range: tuple[float, float], pad: float = QUERY_PAD) -> tuple[float, float]:
+    """Pad the tick-derived y-range before probing (tick rounding slack)."""
+    lo, hi = y_range
+    span = max(hi - lo, 1e-12)
+    return lo - pad * span, hi + pad * span
+
+
+def overlaps(lo, hi, qlo: float, qhi: float):
+    """Whether the closed key ``[lo, hi]`` meets the closed query range
+    ``[qlo, qhi]``. The bounds may be scalars or arrays; a NaN key meets
+    nothing."""
+    return (lo <= qhi) & (hi >= qlo)
 
 
 @dataclass

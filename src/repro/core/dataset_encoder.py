@@ -21,12 +21,13 @@ A table is encoded as one ``(C, n_rows)`` stack, one featurizer pass per
 embedding once, in the :class:`PackedVariants` the matcher consumes:
 every variant's unit-norm segment embeddings in one matrix. Beside it,
 one :class:`ColumnEncoding` per column records what the indexes and the
-global matcher need: the interval hull of
-:func:`~repro.core.data.interval_hulls` (interval tree, Sec. VI-A), the
-value range, the mean identity segment embedding (LSH, Sec. VI-A) and
-the column's ``(op, window)`` variants in packed order. A column with a
-NaN or infinite value is encoded as zeros and flagged non-finite; its
-interval and value range are NaN and it is never matched.
+global matcher need: the interval key of
+:func:`~repro.core.data.interval_keys` (the interval index and the column
+filter, Sec. VI-A, IV-C), the value range, the mean identity segment
+embedding (LSH, Sec. VI-A) and the column's ``(op, window)`` variants in
+packed order. A column with a NaN or infinite value is encoded as zeros
+and flagged non-finite; its interval and value range are NaN and it is
+never matched.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import AGG_OPS, ALL_OPS, FCMConfig
-from repro.core.data import LakeTable, aggregate_series, interval_hulls
+from repro.core.data import LakeTable, aggregate_series, interval_keys
 from repro.core.features import (
     Attention,
     Projector,
@@ -54,7 +55,7 @@ class ColumnEncoding:
     segment embeddings live in the table's :class:`PackedVariants`."""
 
     col_id: int
-    interval: tuple[float, float]        # [min, sum] hull (index key)
+    interval: tuple[float, float]        # interval_keys: every window aggregate's range
     value_range: tuple[float, float]     # plain [min, max]
     mean_emb: np.ndarray                 # column-level embedding (LSH / FCM-HCMAN)
     variants: list[tuple[str, int]]      # (op, window) per variant, packed order
@@ -183,7 +184,7 @@ class DatasetEncoder:
         cfg = self.cfg
         x = np.vstack(table.columns)
         finite = np.isfinite(x).all(axis=1)
-        hull_lo, hull_hi = interval_hulls(x)
+        key_lo, key_hi = interval_keys(x)
         # a non-finite column is encoded as zeros, so no NaN reaches the
         # stack; the packed finite mask keeps it out of every match
         x[~finite] = 0.0
@@ -233,7 +234,7 @@ class DatasetEncoder:
         columns = [
             ColumnEncoding(
                 col_id=j,
-                interval=(float(hull_lo[j]), float(hull_hi[j])),
+                interval=(float(key_lo[j]), float(key_hi[j])),
                 value_range=(float(vmin[j]), float(vmax[j])) if finite[j] else (np.nan, np.nan),
                 mean_emb=ident[j].mean(axis=0),
                 variants=[(op, w) for op, w, *_ in views],

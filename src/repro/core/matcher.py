@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.config import ALL_OPS
 from repro.core.bipartite import hungarian_max
+from repro.core.data import overlaps, pad_query_range
 from repro.core.dataset_encoder import ColumnEncoding, TableEncoding
 from repro.core.features import cosine_matrix, unit_rows
 from repro.core.line_encoder import QueryEncoding
-from repro.index.interval_tree import pad_query_range
 
 #: feature names of the full (fine-grained) matcher
 FEATURES_FULL = (
@@ -68,12 +68,12 @@ def range_iou(a: tuple, b: tuple) -> np.ndarray:
 
 def filter_columns(query: QueryEncoding, table: TableEncoding) -> list[ColumnEncoding]:
     """Tick-based column filter (Sec. IV-C): keep finite columns whose
-    ``[min, sum]`` hull overlaps the padded query y-range, the range the
-    interval tree is probed with; fall back to all finite columns if the
-    filter empties the table."""
-    lo, hi = pad_query_range(query.y_range)
+    interval key overlaps the padded query y-range, by the same
+    :func:`~repro.core.data.overlaps` test the index probe applies; fall
+    back to all finite columns if the filter empties the table."""
+    qlo, qhi = pad_query_range(query.y_range)
     finite = table.finite_columns
-    kept = [c for c in finite if c.interval[0] <= hi and c.interval[1] >= lo]
+    kept = [c for c in finite if overlaps(*c.interval, qlo, qhi)]
     return kept or finite
 
 

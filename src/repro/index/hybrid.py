@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.data import LakeTable
 from repro.index.interval_tree import (
-    IntervalTree,
+    TableIntervals,
     build_table_interval_tree,
     interval_tree_candidates,
 )
@@ -31,7 +31,7 @@ LSH_TABLES = 4
 
 @dataclass
 class HybridIndex:
-    tree: IntervalTree
+    tree: TableIntervals
     lsh: LSHIndex
     all_tables: set[str]
     build_seconds: dict[str, float]

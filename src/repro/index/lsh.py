@@ -21,7 +21,7 @@ import numpy as np
 class LSHIndex:
     """SimHash index: L tables x B bits, payloads bucketed by code."""
 
-    def __init__(self, dim: int, *, n_bits: int = 12, n_tables: int = 6, seed: int = 0) -> None:
+    def __init__(self, dim: int, *, n_bits: int, n_tables: int, seed: int) -> None:
         if dim < 1 or n_bits < 1 or n_tables < 1:
             raise ValueError("dim, n_bits, n_tables must be positive")
         rng = np.random.default_rng(seed)

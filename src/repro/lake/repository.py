@@ -6,9 +6,9 @@ LSH index are precomputed with ``applyInPandas`` (the distributed-dataflow
 core of this reproduction): the rows are grouped by ``table_id`` and each
 table is one stacked no-DA ``encode_table`` pass, which emits each finite
 column's mean segment embedding. A column with a NaN or ±inf value gets
-no row, so it never enters the index. The interval-tree keys are not
+no row, so it never enters the index. The interval keys are not
 computed here; the driver builds them with
-:func:`repro.core.data.interval_hulls`.
+:func:`repro.core.data.interval_keys`.
 
 Also provides TPC-H-lite derived chartable tables (daily order/lineitem
 aggregates via Spark SQL) that join the repository as realistic

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.data import LakeTable, aggregate_series, interval_hulls
+from repro.core.data import LakeTable, aggregate_series, interval_keys
 
 
 class TestAggregateSeries:
@@ -84,17 +84,34 @@ class TestLakeTable:
             LakeTable("t", columns)
 
     def test_column_intervals_hull(self):
-        # min=-5, max=3, sum=-3 -> hull [-5, 3]
-        (lo,), (hi,) = interval_hulls(np.array([[-5.0, 3.0, -1.0]]))
-        assert lo == -5.0 and hi == 3.0
+        # runs of [-5, 3, -1] sum to -5 at least and 3 at most
+        (lo,), (hi,) = interval_keys(np.array([[-5.0, 3.0, -1.0]]))
+        assert (lo, hi) == pytest.approx((-5.0, 3.0))
 
     def test_column_intervals_sum_dominates(self):
-        (lo,), (hi,) = interval_hulls(np.array([[1.0, 2.0, 3.0]]))
-        assert lo == 1.0 and hi == 6.0
+        (lo,), (hi,) = interval_keys(np.array([[1.0, 2.0, 3.0]]))
+        assert (lo, hi) == pytest.approx((1.0, 6.0))
+
+    def test_column_intervals_cover_signed_window_sums(self):
+        # the hull of {min, max, sum} is [-10, 5]; the window-2 sums are [10, -9]
+        x = np.array([[5.0, 5.0, -10.0, 1.0]])
+        (lo,), (hi,) = interval_keys(x)
+        assert (lo, hi) == pytest.approx((-10.0, 10.0))
+        assert aggregate_series(x, "sum", 2).tolist() == [[10.0, -9.0]]
+
+    def test_column_intervals_match_every_run(self):
+        """Reference: the least and greatest sum over all O(n^2) runs."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((30, 17)) * 50 + rng.uniform(-20, 20, (30, 1))
+        lo, hi = interval_keys(x)
+        for row, l, h in zip(x, lo, hi):
+            sums = [row[i:j].sum() for i in range(len(row)) for j in range(i + 1, len(row) + 1)]
+            assert l <= min(sums) and h >= max(sums)
+            assert (l, h) == pytest.approx((min(sums), max(sums)), rel=1e-12, abs=1e-9)
 
     def test_column_intervals_non_finite_is_nan(self):
         x = np.array([[1.0, np.nan, 3.0], [1.0, 2.0, np.inf], [-np.inf, np.inf, 0.0], [0.0, 1.0, 2.0]])
         with np.errstate(invalid="raise", over="raise"):
-            lo, hi = interval_hulls(x)
+            lo, hi = interval_keys(x)
         assert np.isnan(lo[:3]).all() and np.isnan(hi[:3]).all()
-        assert (lo[3], hi[3]) == (0.0, 3.0)
+        assert (lo[3], hi[3]) == pytest.approx((0.0, 3.0))

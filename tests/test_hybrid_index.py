@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.benchmark import build_benchmark
 from repro.config import BenchmarkConfig, tiny_benchmark_config
-from repro.core.data import LakeTable
+from repro.core.data import LakeTable, pad_query_range
 from repro.core.dataset_encoder import DatasetEncoder
 from repro.core.fcm import make_model
 from repro.core.matcher import filter_columns
@@ -15,11 +15,7 @@ from repro.index.hybrid import (
     build_hybrid_index,
     query_line_embeddings,
 )
-from repro.index.interval_tree import (
-    build_table_interval_tree,
-    interval_tree_candidates,
-    pad_query_range,
-)
+from repro.index.interval_tree import build_table_interval_tree, interval_tree_candidates
 
 #: the Table VIII job's index: its LSH shape and the bench config's seed
 INDEX = dict(n_bits=LSH_BITS, n_tables=LSH_TABLES, seed=BenchmarkConfig().seed)

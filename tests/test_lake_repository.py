@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.config import FCMConfig
-from repro.core.data import LakeTable, interval_hulls
+from repro.core.data import LakeTable, interval_keys
 from repro.core.dataset_encoder import DatasetEncoder
 from repro.lake.repository import (
     ORDERS_DAILY_SQL,
@@ -49,23 +49,37 @@ class TestRepositoryDF:
             np.testing.assert_allclose(back[tid].columns[0], t.columns[0])
 
     def test_interval_df_hull_vs_oracle(self, spark, tables):
-        """The interval-tree keys (``interval_hulls``) == DuckDB's
-        LEAST(MIN, SUM) / GREATEST(MAX, SUM) over exploded rows."""
-        hulls, exploded = [], []
+        """The interval keys (``interval_keys``) == DuckDB's least and
+        greatest run sum over the exploded cells: a running ``SUM`` gives
+        the prefix sums, and a running ``MIN``/``MAX`` over the earlier
+        ones (with the empty prefix, 0) gives each run's best start."""
+        keys, exploded = [], []
         for tid, t in tables.items():
-            lo, hi = interval_hulls(np.vstack(t.columns))
+            lo, hi = interval_keys(np.vstack(t.columns))
             for ci, col in enumerate(t.columns):
-                hulls.append({"table_id": tid, "col_id": ci, "lo": lo[ci], "hi": hi[ci]})
-                for v in col:
-                    exploded.append({"table_id": tid, "col_id": ci, "v": float(v)})
+                keys.append({"table_id": tid, "col_id": ci, "lo": lo[ci], "hi": hi[ci]})
+                for i, v in enumerate(col):
+                    exploded.append({"table_id": tid, "col_id": ci, "i": i, "v": float(v)})
         cells = pd.DataFrame(exploded)
         assert_equivalent(
-            spark.createDataFrame(pd.DataFrame(hulls)),
+            spark.createDataFrame(pd.DataFrame(keys)),
             """
-            SELECT table_id, col_id,
-                   LEAST(MIN(v), SUM(v))    AS lo,
-                   GREATEST(MAX(v), SUM(v)) AS hi
-            FROM cells GROUP BY table_id, col_id
+            WITH prefix AS (
+                SELECT table_id, col_id, i,
+                       SUM(v) OVER (PARTITION BY table_id, col_id ORDER BY i) AS c
+                FROM cells
+            ), runs AS (
+                SELECT table_id, col_id, c,
+                       LEAST(0, COALESCE(MIN(c) OVER earlier, 0))    AS c_min,
+                       GREATEST(0, COALESCE(MAX(c) OVER earlier, 0)) AS c_max
+                FROM prefix
+                WINDOW earlier AS (
+                    PARTITION BY table_id, col_id ORDER BY i
+                    ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
+                )
+            )
+            SELECT table_id, col_id, MIN(c - c_max) AS lo, MAX(c - c_min) AS hi
+            FROM runs GROUP BY table_id, col_id
             """,
             cells=cells,
         )

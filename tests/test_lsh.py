@@ -37,14 +37,14 @@ class TestLSHIndex:
         assert all(0 <= c < 2**10 for c in codes)
 
     def test_same_vector_always_collides(self, rng):
-        idx = LSHIndex(8, seed=2)
+        idx = LSHIndex(8, n_bits=12, n_tables=6, seed=2)
         v = rng.standard_normal(8)
         idx.add("x", v)
         assert "x" in idx.query(v)
 
     def test_scaled_vector_collides(self, rng):
         # SimHash depends only on direction
-        idx = LSHIndex(8, seed=3)
+        idx = LSHIndex(8, n_bits=12, n_tables=6, seed=3)
         v = rng.standard_normal(8)
         idx.add("x", v)
         assert "x" in idx.query(3.5 * v)
@@ -56,18 +56,18 @@ class TestLSHIndex:
         assert "x" not in idx.query(-v)
 
     def test_dim_mismatch_raises(self):
-        idx = LSHIndex(8, seed=0)
+        idx = LSHIndex(8, n_bits=12, n_tables=6, seed=0)
         with pytest.raises(ValueError):
             idx.codes(np.ones(7))
 
     def test_bad_params_raise(self):
         with pytest.raises(ValueError):
-            LSHIndex(0)
+            LSHIndex(0, n_bits=12, n_tables=6, seed=0)
         with pytest.raises(ValueError):
-            LSHIndex(4, n_bits=0)
+            LSHIndex(4, n_bits=0, n_tables=6, seed=0)
 
     def test_n_items(self, rng):
-        idx = LSHIndex(8, seed=5)
+        idx = LSHIndex(8, n_bits=12, n_tables=6, seed=5)
         for i in range(5):
             idx.add(f"t{i}", rng.standard_normal(8))
         assert n_items(idx) == 5

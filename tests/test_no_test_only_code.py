@@ -186,7 +186,7 @@ def test_guard_sees_the_stage_modules():
         "repro", "baselines", "bench", "chartsim", "core", "index", "lake"
     }
     names = {n for p in GUARDED for n in _public_defs(p)}
-    assert {"IntervalTree", "LSHIndex", "repository_df", "ranked_topk", "top_k"} <= names
+    assert {"TableIntervals", "LSHIndex", "repository_df", "ranked_topk", "top_k"} <= names
     assert {"LSHIndex.query", "DatasetEncoder.encode_table", "TableEncoding.n_cols"} <= names
 
 
