@@ -3,7 +3,8 @@
 Each jobs/tableN_*.py reproduces one table of the paper's evaluation at
 "bench" scale (configurable via --tiny for smoke runs). The constructed
 benchmark (repository + queries + DTW ground truth) is expensive, so it
-is cached on disk keyed by its config; all nine jobs share one build.
+is cached on disk keyed by its config and the source; all nine jobs share
+one build. ``rm -rf .bench_cache`` forces a cold run.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from pyspark.sql import SparkSession
 import repro
 from repro.bench.benchmark import Benchmark, build_benchmark
 from repro.config import BenchmarkConfig, tiny_benchmark_config
+from repro.core.train import N_NEG, STRATEGY
 
 CACHE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".bench_cache")
 SRC_DIR = os.path.dirname(os.path.abspath(repro.__file__))
@@ -44,16 +46,10 @@ def get_spark() -> SparkSession:
     )
 
 
-def bench_scale_config(seed: int = 13) -> BenchmarkConfig:
-    """The default bench scale (DESIGN.md §2: ~15x smaller than the paper)."""
-    return BenchmarkConfig(seed=seed)
-
-
 def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser()
     p.add_argument("--tiny", action="store_true", help="unit-test scale")
     p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--no-cache", action="store_true")
     return p.parse_args(argv)
 
 
@@ -69,13 +65,11 @@ def _cfg_key(cfg: BenchmarkConfig) -> str:
     return h.hexdigest()[:16]
 
 
-def load_benchmark(
-    spark: SparkSession, cfg: BenchmarkConfig, *, use_cache: bool = True, with_tpch: bool = True
-) -> Benchmark:
+def load_benchmark(spark: SparkSession, cfg: BenchmarkConfig, *, with_tpch: bool) -> Benchmark:
     """Build (or load the cached) benchmark for a config."""
     os.makedirs(CACHE_DIR, exist_ok=True)
     path = os.path.join(CACHE_DIR, f"bench_{_cfg_key(cfg)}.pkl")
-    if use_cache and os.path.exists(path):
+    if os.path.exists(path):
         with open(path, "rb") as f:
             return pickle.load(f)
     extra = None
@@ -84,9 +78,8 @@ def load_benchmark(
 
         extra = tpch_derived_tables(spark, sf=0.001, seed=cfg.seed)
     bench = build_benchmark(cfg, spark=spark, extra_tables=extra)
-    if use_cache:
-        with open(path, "wb") as f:
-            pickle.dump(bench, f)
+    with open(path, "wb") as f:
+        pickle.dump(bench, f)
     return bench
 
 
@@ -94,10 +87,8 @@ def trained_fcm(
     bench: Benchmark,
     *,
     variant: str = "full",
-    n_neg: int = 3,
-    strategy: str = "semihard",
-    epochs: int = 60,
-    use_cache: bool = True,
+    n_neg: int = N_NEG,
+    strategy: str = STRATEGY,
 ):
     """A head-trained FCM variant for a benchmark (cached per config)."""
     from repro.bench.harness import train_fcm
@@ -105,26 +96,24 @@ def trained_fcm(
 
     os.makedirs(CACHE_DIR, exist_ok=True)
     key = _cfg_key(bench.cfg)
-    path = os.path.join(
-        CACHE_DIR, f"fcm_{key}_{variant}_{n_neg}_{strategy}_{epochs}.pkl"
-    )
-    if use_cache and os.path.exists(path):
+    path = os.path.join(CACHE_DIR, f"fcm_{key}_{variant}_{n_neg}_{strategy}.pkl")
+    if os.path.exists(path):
         with open(path, "rb") as f:
             return pickle.load(f)
     model = make_model(bench.cfg.fcm, variant=variant)
-    result = train_fcm(bench, model, n_neg=n_neg, strategy=strategy, epochs=epochs)
-    if use_cache:
-        with open(path, "wb") as f:
-            pickle.dump((model, result), f)
+    result = train_fcm(bench, model, n_neg=n_neg, strategy=strategy)
+    with open(path, "wb") as f:
+        pickle.dump((model, result), f)
     return model, result
 
 
-def setup(argv=None, *, with_tpch: bool = True):
+def setup(argv=None):
     """Common job prologue: args -> (spark, benchmark, args)."""
     args = parse_args(argv)
     spark = get_spark()
-    cfg = tiny_benchmark_config(args.seed) if args.tiny else bench_scale_config(args.seed)
-    bench = load_benchmark(spark, cfg, use_cache=not args.no_cache, with_tpch=with_tpch and not args.tiny)
+    # bench scale: DESIGN.md §2, ~15x smaller than the paper
+    cfg = tiny_benchmark_config(args.seed) if args.tiny else BenchmarkConfig(seed=args.seed)
+    bench = load_benchmark(spark, cfg, with_tpch=not args.tiny)
     print(
         f"[bench] repository={len(bench.repository)} tables, "
         f"queries={len(bench.queries)}, k={bench.cfg.k}",

@@ -10,25 +10,22 @@ from __future__ import annotations
 import numpy as np
 from _common import setup, trained_fcm
 
-from repro.bench.benchmark import Benchmark, Query, compute_ground_truth
+from repro.bench.benchmark import Benchmark, Query, compute_ground_truth, make_query
 from repro.bench.harness import FCMMethod, da_breakdown_metrics, run_method
 from repro.bench.plotly_lite import WINDOW_BUCKETS
 from repro.bench.tables import PAPER_TABLE4
-from repro.chartsim.extractor import extract
-from repro.chartsim.renderer import render_chart
-from repro.chartsim.spec import VisSpec, underlying_data
+from repro.chartsim.spec import VisSpec
 from repro.config import AGG_OPS
 
+#: query tables swept, and base tables kept as distractors
+N_TABLES = 6
+N_DISTRACTORS = 80
 
-def sweep_queries(
-    bench: Benchmark, rng: np.random.Generator, n_tables: int | None = None
-) -> list[Query]:
+
+def sweep_queries(bench: Benchmark, rng: np.random.Generator) -> list[Query]:
     """One DA query per (query table, operator, window bucket)."""
     out = []
-    src_tables = sorted({q.source_table_id for q in bench.queries})
-    if n_tables is not None:
-        src_tables = src_tables[:n_tables]
-    for tid in src_tables:
+    for tid in sorted({q.source_table_id for q in bench.queries})[:N_TABLES]:
         table = bench.repository[tid]
         base = next(q for q in bench.queries if q.source_table_id == tid)
         y_cols = base.spec.y_cols
@@ -40,24 +37,13 @@ def sweep_queries(
                     continue
                 w = int(rng.integers(lo, hi_eff))
                 spec = VisSpec(y_cols=y_cols, agg_op=op, window=w)
-                qid = f"{tid}_sw_{op}_{lo}"
-                data = underlying_data(table, spec)
-                eq = extract(render_chart(data, bench.cfg.chart), query_id=qid)
-                out.append(
-                    Query(
-                        query_id=qid,
-                        source_table_id=tid,
-                        spec=spec,
-                        extracted=eq,
-                        data=data,
-                    )
-                )
+                out.append(make_query(table, spec, f"{tid}_sw_{op}_{lo}", bench.cfg.chart))
     return out
 
 
-def run(spark, bench, *, n_tables: int = 6, n_distractors: int = 80) -> dict:
+def run(spark, bench) -> dict:
     rng = np.random.default_rng(bench.cfg.seed + 99)
-    sweep = sweep_queries(bench, rng, n_tables=n_tables)
+    sweep = sweep_queries(bench, rng)
     # restrict the repository to the swept tables' duplicate families plus
     # distractors — the sweep compares operators/windows, and the full
     # 240-query x 734-table ground truth would dominate the suite runtime
@@ -67,7 +53,7 @@ def run(spark, bench, *, n_tables: int = 6, n_distractors: int = 80) -> dict:
         for tid in bench.repository
         if any(tid.startswith(src) for src in keep_src)
     }
-    keep |= set([t for t in bench.repository if t.startswith("rep")][:n_distractors])
+    keep |= set([t for t in bench.repository if t.startswith("rep")][:N_DISTRACTORS])
     repo = {tid: bench.repository[tid] for tid in keep}
     swept = Benchmark(
         cfg=bench.cfg,

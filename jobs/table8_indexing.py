@@ -1,6 +1,7 @@
 """Table VIII — index strategies: effectiveness + query time.
 
-Builds the interval tree and the LSH index over the lake (column
+Builds the interval index (flat arrays of column interval keys, probed
+by one vectorised overlap test) and the LSH index over the lake (column
 embeddings from the distributed ``embed_repository`` job, which leaves
 out a column with a NaN or ±inf value), generates
 per-query candidate sets under each strategy (none / interval / lsh /

@@ -21,12 +21,13 @@ import numpy as np
 
 from repro.baselines.base import Method, finite_column_ids
 from repro.baselines.deepeye import recommend
-from repro.baselines.linenet import embed_raster, linenet_similarity
+from repro.baselines.linenet import embed_raster
 from repro.chartsim.extractor import ExtractedQuery
 from repro.chartsim.renderer import render_chart
 from repro.chartsim.spec import VisSpec, underlying_data
 from repro.config import ChartConfig
 from repro.core.data import LakeTable
+from repro.core.features import cosine
 
 
 def _render_embed(table: LakeTable, spec: VisSpec, cfg: ChartConfig) -> np.ndarray | None:
@@ -37,14 +38,24 @@ def _render_embed(table: LakeTable, spec: VisSpec, cfg: ChartConfig) -> np.ndarr
     return embed_raster(render_chart(data, cfg).raster)
 
 
-class DeepEyeLineNet(Method):
-    name = "DE-LN"
+class _LineNetSearch(Method):
+    """LineNet between the query chart and the charts a subclass renders
+    from each table; Rel'(V, T) is the best similarity, 0.0 with none."""
 
     def __init__(self, cfg: ChartConfig | None = None) -> None:
         self.cfg = cfg or ChartConfig()
 
     def prepare_query(self, eq: ExtractedQuery) -> np.ndarray:
         return embed_raster(eq.raster)
+
+    def score(self, query_prep: np.ndarray, table_enc: list[np.ndarray]) -> float:
+        if not table_enc:
+            return 0.0
+        return max(cosine(query_prep, e) for e in table_enc)
+
+
+class DeepEyeLineNet(_LineNetSearch):
+    name = "DE-LN"
 
     def encode_table(self, table: LakeTable) -> list[np.ndarray]:
         keep = finite_column_ids(table)
@@ -59,13 +70,8 @@ class DeepEyeLineNet(Method):
                 embs.append(e)
         return embs
 
-    def score(self, query_prep: np.ndarray, table_enc: list[np.ndarray]) -> float:
-        if not table_enc:
-            return 0.0
-        return max(linenet_similarity(query_prep, e) for e in table_enc)
 
-
-class OptLineNet(Method):
+class OptLineNet(_LineNetSearch):
     """Upper bound: LineNet against the candidate's ground-truth chart.
 
     ``specs`` maps table_id -> the table's corpus viz spec (noisy
@@ -76,10 +82,7 @@ class OptLineNet(Method):
 
     def __init__(self, specs: dict[str, VisSpec], cfg: ChartConfig | None = None) -> None:
         self.specs = dict(specs)
-        self.cfg = cfg or ChartConfig()
-
-    def prepare_query(self, eq: ExtractedQuery) -> np.ndarray:
-        return embed_raster(eq.raster)
+        super().__init__(cfg)
 
     def encode_table(self, table: LakeTable) -> list[np.ndarray]:
         keep = finite_column_ids(table)
@@ -91,8 +94,3 @@ class OptLineNet(Method):
             return []
         e = _render_embed(table, replace(spec, y_cols=y_cols), self.cfg)
         return [e] if e is not None else []
-
-    def score(self, query_prep: np.ndarray, table_enc: list[np.ndarray]) -> float:
-        if not table_enc:
-            return 0.0
-        return max(linenet_similarity(query_prep, e) for e in table_enc)

@@ -3,13 +3,15 @@
 LineNet learns image representations of line charts for similarity
 search. Our analog embeds a chart raster directly in pixel space:
 mean-pool the greyscale plot area down to a coarse grid, z-normalise,
-flatten; similarity is the cosine of two such embeddings. Purely
-perceptual — it never sees the data — which is the information loss the
-paper attributes to chart-search-based pipelines.
+flatten; similarity is the cosine (``core.features.cosine``) of two such
+embeddings. Purely perceptual — it never sees the data — which is the
+information loss the paper attributes to chart-search-based pipelines.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.features import znorm
 
 _GRID_H, _GRID_W = 24, 48
 
@@ -25,12 +27,4 @@ def embed_raster(raster: np.ndarray) -> np.ndarray:
         rows = img[rh[i] : max(rh[i] + 1, rh[i + 1])]
         for j in range(_GRID_W):
             out[i, j] = rows[:, rw[j] : max(rw[j] + 1, rw[j + 1])].mean()
-    v = out.ravel()
-    mu, sd = v.mean(), v.std()
-    return (v - mu) / (sd if sd > 1e-12 else 1.0)
-
-
-def linenet_similarity(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    num = float(np.dot(emb_a, emb_b))
-    den = float(np.linalg.norm(emb_a) * np.linalg.norm(emb_b)) + 1e-12
-    return num / den
+    return znorm(out.ravel())[0]

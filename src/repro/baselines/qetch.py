@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.baselines.base import Method, finite_column_ids
 from repro.chartsim.extractor import ExtractedQuery
-from repro.core.bipartite import hungarian_max, matching_weight
+from repro.core.bipartite import mean_matching
 from repro.core.data import LakeTable
 from repro.core.dtw import resample
 from repro.core.features import znorm
@@ -45,9 +45,7 @@ def qetch_line_cost(line: np.ndarray, col: np.ndarray) -> float:
             np.linspace(0, n - w, num=min(_N_OFFSETS, n - w + 1), dtype=int)
         )
         for s in starts:
-            win = resample(z[s : s + w], _SKETCH_LEN)
-            mu, sd = win.mean(), win.std()
-            win = (win - mu) / (sd if sd > 1e-12 else 1.0)
+            win, _, _ = znorm(resample(z[s : s + w], _SKETCH_LEN))
             dwin = np.diff(win)
             cost = 0.6 * np.abs(sk - win).mean() + 0.4 * np.abs(dsk - dwin).mean()
             best = min(best, float(cost))
@@ -69,7 +67,4 @@ class QetchStar(Method):
         for i, line in enumerate(query_prep):
             for j, col in enumerate(table_enc):
                 w[i, j] = 1.0 / (1.0 + qetch_line_cost(line, col))
-        pairs = hungarian_max(w)
-        if not pairs:
-            return 0.0
-        return matching_weight(w, pairs) / m
+        return mean_matching(w)

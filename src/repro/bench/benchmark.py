@@ -26,7 +26,7 @@ import numpy as np
 from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
 from repro.chartsim.spec import ChartRecord, VisSpec, underlying_data
-from repro.config import BenchmarkConfig
+from repro.config import BenchmarkConfig, ChartConfig
 from repro.core.data import LakeTable
 from repro.core.relevance import rel_scores
 from repro.bench.metrics import top_k
@@ -105,6 +105,19 @@ def make_duplicate(
     return LakeTable(tid, cols), spec
 
 
+def make_query(table: LakeTable, spec: VisSpec, query_id: str, chart: ChartConfig) -> Query:
+    """Render a table's chart by ``spec`` and extract it: one query."""
+    data = underlying_data(table, spec)
+    eq = extract(render_chart(data, chart), query_id=query_id)
+    return Query(
+        query_id=query_id,
+        source_table_id=table.table_id,
+        spec=spec,
+        extracted=eq,
+        data=data,
+    )
+
+
 def make_queries(
     records: list[ChartRecord], cfg: BenchmarkConfig, rng: np.random.Generator
 ) -> list[Query]:
@@ -119,18 +132,8 @@ def make_queries(
         if cfg.charts_per_table >= 2:
             specs.append(da_spec(rng, rec))
         for j, spec in enumerate(specs[: cfg.charts_per_table]):
-            qid = f"{rec.table.table_id}_q{j}"
-            data = underlying_data(rec.table, spec)
-            chart = render_chart(data, cfg.chart)
-            eq = extract(chart, query_id=qid)
             queries.append(
-                Query(
-                    query_id=qid,
-                    source_table_id=rec.table.table_id,
-                    spec=spec,
-                    extracted=eq,
-                    data=data,
-                )
+                make_query(rec.table, spec, f"{rec.table.table_id}_q{j}", cfg.chart)
             )
     return queries
 

@@ -3,7 +3,8 @@
 Provides the glue used by jobs/ and benchmarks/: the FCM Method adapter,
 head training on the benchmark's training split, per-query metric
 break-downs (by line count M, by DA operator / window — Tables II-VI),
-and timed index-strategy sweeps (Table VIII).
+and the timed scoring run of one method (:func:`run_method`). The
+index-strategy sweep of Table VIII is ``jobs/table8_indexing.py``.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from repro.chartsim.extractor import ExtractedQuery
 from repro.config import BenchmarkConfig
 from repro.core.data import LakeTable
 from repro.core.fcm import FCMModel, make_model
-from repro.core.train import Triplet, train_model
+from repro.core.train import EPOCHS, N_NEG, STRATEGY, Triplet, train_model
 from repro.lake.search import ranked_topk, score_with_method
 
 
@@ -110,9 +111,9 @@ def train_fcm(
     bench: Benchmark,
     model: FCMModel,
     *,
-    n_neg: int = 3,
-    strategy: str = "semihard",
-    epochs: int = 60,
+    n_neg: int = N_NEG,
+    strategy: str = STRATEGY,
+    epochs: int = EPOCHS,
     seed: int = 0,
 ):
     """Train the model's head on the benchmark training split in-place."""

@@ -54,17 +54,11 @@ class LineChart:
     raster: np.ndarray            # uint8, (H, margin+W)
     masks: np.ndarray             # int8/int16, same shape
     ticks: list[tuple[int, float]]
-    m: int
     cfg: ChartConfig
 
     @property
     def plot_area(self) -> np.ndarray:
         return self.raster[:, self.cfg.margin_left :]
-
-    @property
-    def y_range(self) -> tuple[float, float]:
-        vals = [v for _, v in self.ticks]
-        return (min(vals), max(vals))
 
 
 def render_chart(data: list[np.ndarray], cfg: ChartConfig | None = None) -> LineChart:
@@ -111,7 +105,7 @@ def render_chart(data: list[np.ndarray], cfg: ChartConfig | None = None) -> Line
             raster[r0 : r1 + 1, ml + px] = grey
             masks[r0 : r1 + 1, ml + px] = i + 1
             prev = r
-    return LineChart(raster=raster, masks=masks, ticks=ticks, m=len(data), cfg=cfg)
+    return LineChart(raster=raster, masks=masks, ticks=ticks, cfg=cfg)
 
 
 def _value_to_row(v, vlo: float, vhi: float, h: int):

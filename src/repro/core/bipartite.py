@@ -83,3 +83,17 @@ def matching_weight(weights: np.ndarray, pairs: list[tuple[int, int]]) -> float:
     """Total weight of a matching."""
     w = np.asarray(weights, dtype=np.float64)
     return float(sum(w[i, j] for i, j in pairs))
+
+
+def mean_matching(weights: np.ndarray) -> float:
+    """Max-weight matching weight divided by the number of rows, 0.0 when
+    nothing matches.
+
+    A row the matching leaves out (a data series or chart line of a table
+    with fewer columns than rows) counts as 0: Rel(D, T) (Sec. III-A) and
+    Qetch* both aggregate this way.
+    """
+    pairs = hungarian_max(weights)
+    if not pairs:
+        return 0.0
+    return matching_weight(weights, pairs) / len(weights)

@@ -38,10 +38,9 @@ import numpy as np
 from repro.config import AGG_OPS, ALL_OPS, FCMConfig
 from repro.core.data import LakeTable, aggregate_series, interval_keys
 from repro.core.features import (
-    Attention,
     Projector,
     encode_series,
-    feature_dim,
+    seeded_layers,
     segment_features,
     split_segments,
     unit_rows,
@@ -146,13 +145,8 @@ class DatasetEncoder:
 
     def __init__(self, cfg: FCMConfig) -> None:
         self.cfg = cfg
-        base = feature_dim(cfg.n_profile)
-        # The projection/attention parameters are SHARED with the line
-        # chart encoder (same seeds): the paper aligns the two embedding
-        # spaces by joint training; with untrained parameters the spaces
-        # only align if they are the same map (DESIGN.md §2).
-        self.projector = Projector(base, cfg.k, seed=cfg.seed)
-        self.attention = Attention(cfg.k, seed=cfg.seed + 1)
+        # the same layers as the line chart encoder (seeded_layers)
+        self.projector, self.attention = seeded_layers(cfg)
         self.hmrl = HMRL(cfg.k, seed=cfg.seed + 4)
         #: blend weight of the HMRL root into the segment embedding
         self.hmrl_mix = 0.2

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import FCMConfig
 from repro.core.dtw import resample
 
 #: weight of the global-scale channels relative to shape channels
@@ -187,6 +188,19 @@ class Attention:
         return e + _ATTN_MIX * (a @ e)
 
 
+def seeded_layers(cfg: FCMConfig) -> tuple[Projector, Attention]:
+    """The seeded projection and attention layers of an encoder.
+
+    The line encoder, the dataset encoder and CML build them from the same
+    seeds: the paper aligns the chart and dataset embedding spaces by joint
+    training; with untrained parameters the spaces only align if they are
+    the same map (DESIGN.md §2)."""
+    return (
+        Projector(feature_dim(cfg.n_profile), cfg.k, seed=cfg.seed),
+        Attention(cfg.k, seed=cfg.seed + 1),
+    )
+
+
 def encode_series(
     series: np.ndarray,
     seg_len: int,
@@ -208,6 +222,14 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
     """Rows of ``a`` scaled to unit L2 norm (``+1e-12`` keeps a zero row
     zero)."""
     return a / (np.linalg.norm(a, axis=-1, keepdims=True) + 1e-12)
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two vectors (``+1e-12`` makes a zero vector's
+    similarity 0.0)."""
+    num = float(np.dot(a, b))
+    den = float(np.linalg.norm(a) * np.linalg.norm(b)) + 1e-12
+    return num / den
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

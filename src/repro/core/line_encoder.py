@@ -14,12 +14,7 @@ import numpy as np
 
 from repro.chartsim.extractor import ExtractedQuery
 from repro.config import FCMConfig
-from repro.core.features import (
-    Attention,
-    Projector,
-    encode_series,
-    feature_dim,
-)
+from repro.core.features import encode_series, seeded_layers
 
 
 @dataclass
@@ -41,9 +36,7 @@ class LineChartEncoder:
 
     def __init__(self, cfg: FCMConfig) -> None:
         self.cfg = cfg
-        base = feature_dim(cfg.n_profile)
-        self.projector = Projector(base, cfg.k, seed=cfg.seed)
-        self.attention = Attention(cfg.k, seed=cfg.seed + 1)
+        self.projector, self.attention = seeded_layers(cfg)
 
     def encode(self, eq: ExtractedQuery) -> QueryEncoding:
         if not eq.lines:

@@ -217,6 +217,12 @@ def match_global(query: QueryEncoding, table: TableEncoding) -> MatchResult:
     )
 
 
+def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+    """The head's logistic function, of a logit or an array of them,
+    clipped to [-30, 30]."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
+
+
 @dataclass
 class LogisticHead:
     """The trained scoring head: Rel' = sigmoid(w . std(f) + b).
@@ -235,8 +241,7 @@ class LogisticHead:
         f = np.asarray(feats, dtype=np.float64)
         if self.x_mean is not None:
             f = (f - self.x_mean) / self.x_scale
-        z = float(np.dot(self.w, f) + self.b)
-        return float(1.0 / (1.0 + np.exp(-np.clip(z, -30, 30))))
+        return float(sigmoid(float(np.dot(self.w, f) + self.b)))
 
     @staticmethod
     def default_full() -> "LogisticHead":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bipartite import hungarian_max, matching_weight
+from repro.core.bipartite import mean_matching
 from repro.core.data import LakeTable
 from repro.core.dtw import dtw_distances, fit_length
 
@@ -95,9 +95,7 @@ def rel_scores(
     out = np.zeros(mask.shape)
     for q, t in zip(*np.nonzero(mask)):
         w = w_all[s_off[q] : s_off[q + 1], c_off[t] : c_off[t + 1]]
-        pairs = hungarian_max(w)
-        if pairs:
-            out[q, t] = matching_weight(w, pairs) / len(datas[q])
+        out[q, t] = mean_matching(w)
     return out
 
 

@@ -21,10 +21,15 @@ from repro.core.data import LakeTable
 from repro.core.dataset_encoder import TableEncoding
 from repro.core.fcm import FCMModel
 from repro.core.line_encoder import QueryEncoding
-from repro.core.matcher import LogisticHead
+from repro.core.matcher import LogisticHead, sigmoid
 from repro.core.relevance import rel_scores
 
 STRATEGIES = ("random", "easy", "hard", "semihard")
+#: negatives per positive, negative-sampling strategy and epochs of the
+#: head the jobs train (Table IX sweeps the first two)
+N_NEG = 3
+STRATEGY = "semihard"
+EPOCHS = 60
 #: triplets per mini-batch: negatives are drawn from the batch-mates' tables
 BATCH_SIZE = 8
 #: DTW band and length cap of the Rel(D, T) that ranks a batch's negative
@@ -91,8 +96,8 @@ def build_training_set(
     table_encs: dict[str, TableEncoding],
     tables: dict[str, LakeTable],
     *,
-    n_neg: int = 3,
-    strategy: str = "semihard",
+    n_neg: int = N_NEG,
+    strategy: str = STRATEGY,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialise (X, y) from positive triplets + sampled negatives."""
@@ -135,7 +140,7 @@ def fit_head(
     x: np.ndarray,
     y: np.ndarray,
     *,
-    epochs: int = 60,
+    epochs: int = EPOCHS,
     x_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
     seed: int = 0,
@@ -157,22 +162,17 @@ def fit_head(
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(x.shape[1]) * 0.01
     b = 0.0
-    n_pos = max(1.0, float(y.sum()))
-    n_neg = max(1.0, float((1 - y).sum()))
-    sw = np.where(y > 0.5, 1.0 / n_pos, 1.0 / n_neg)
+    sw = _class_weights(y)
     history: list[dict] = []
     for epoch in range(1, epochs + 1):
-        p = _sigmoid(x @ w + b)
+        p = sigmoid(x @ w + b)
         grad_z = sw * (p - y)
         w -= LR * (x.T @ grad_z + L2 * w)
         b -= LR * float(grad_z.sum())
         entry = {"epoch": epoch, "train_loss": _nll(p, y, sw)}
         if x_val is not None and y_val is not None and len(np.asarray(y_val)):
-            pv = _sigmoid(x_val @ w + b)
-            n_pos_v = max(1.0, float(y_val.sum()))
-            n_neg_v = max(1.0, float((1 - y_val).sum()))
-            swv = np.where(y_val > 0.5, 1.0 / n_pos_v, 1.0 / n_neg_v)
-            entry["val_loss"] = _nll(pv, y_val, swv)
+            pv = sigmoid(x_val @ w + b)
+            entry["val_loss"] = _nll(pv, y_val, _class_weights(y_val))
             entry["val_acc"] = float(((pv > 0.5) == (y_val > 0.5)).mean())
         else:
             entry["val_loss"] = entry["train_loss"]
@@ -189,9 +189,9 @@ def train_model(
     table_encs: dict[str, TableEncoding],
     tables: dict[str, LakeTable],
     *,
-    n_neg: int = 3,
-    strategy: str = "semihard",
-    epochs: int = 60,
+    n_neg: int = N_NEG,
+    strategy: str = STRATEGY,
+    epochs: int = EPOCHS,
     seed: int = 0,
 ) -> TrainResult:
     """End-to-end: sample negatives, split train/val, fit, install head."""
@@ -213,8 +213,12 @@ def train_model(
     return result
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
+def _class_weights(y: np.ndarray) -> np.ndarray:
+    """Eq. (2)'s class balance: each example weighs 1 / (size of its
+    class)."""
+    n_pos = max(1.0, float(y.sum()))
+    n_neg = max(1.0, float((1 - y).sum()))
+    return np.where(y > 0.5, 1.0 / n_pos, 1.0 / n_neg)
 
 
 def _nll(p: np.ndarray, y: np.ndarray, sw: np.ndarray) -> float:

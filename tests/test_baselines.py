@@ -5,12 +5,13 @@ import pytest
 from repro.baselines.cml import CML
 from repro.baselines.combos import DeepEyeLineNet, OptLineNet
 from repro.baselines.deepeye import column_goodness, recommend
-from repro.baselines.linenet import embed_raster, linenet_similarity
+from repro.baselines.linenet import embed_raster
 from repro.baselines.qetch import QetchStar, qetch_line_cost
 from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
 from repro.chartsim.spec import VisSpec, underlying_data
 from repro.core.data import LakeTable
+from repro.core.features import cosine
 
 
 def score_raw(method, eq: ExtractedQuery, table: LakeTable) -> float:
@@ -86,7 +87,7 @@ class TestLineNet:
     def test_identical_rasters_similarity_one(self, rng):
         chart = render_chart([rng.random(100)])
         e = embed_raster(chart.raster)
-        assert linenet_similarity(e, e) == pytest.approx(1.0)
+        assert cosine(e, e) == pytest.approx(1.0)
 
     def test_similar_charts_score_higher(self, rng):
         s = np.cumsum(rng.standard_normal(200))
@@ -95,7 +96,7 @@ class TestLineNet:
         e0 = embed_raster(render_chart([s]).raster)
         e1 = embed_raster(render_chart([near]).raster)
         e2 = embed_raster(render_chart([far]).raster)
-        assert linenet_similarity(e0, e1) > linenet_similarity(e0, e2)
+        assert cosine(e0, e1) > cosine(e0, e2)
 
     def test_embedding_shape_fixed(self, rng):
         e = embed_raster(render_chart([rng.random(57)]).raster)

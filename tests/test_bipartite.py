@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bipartite import hungarian_max, matching_weight
+from repro.core.bipartite import hungarian_max, matching_weight, mean_matching
 
 
 def brute_force_max(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -104,3 +104,21 @@ class TestHungarian:
         w = rng.random((30, 40))
         pairs = hungarian_max(w)
         assert len(pairs) == 30
+
+
+class TestMeanMatching:
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0)])
+    def test_empty_is_zero(self, shape):
+        assert mean_matching(np.zeros(shape)) == 0.0
+
+    def test_wide_divides_by_rows(self):
+        w = np.array([[0.1, 0.9, 0.2], [0.8, 0.1, 0.3]])
+        assert mean_matching(w) == matching_weight(w, hungarian_max(w)) / 2
+        assert mean_matching(w) == pytest.approx(0.85)
+
+    def test_tall_counts_unmatched_rows_as_zero(self):
+        """Three series against two columns: the unmatched series adds 0
+        to the sum and 1 to the count, as in Rel(D, T) and Qetch*."""
+        w = np.array([[0.1, 0.9, 0.2], [0.8, 0.1, 0.3]]).T
+        assert len(hungarian_max(w)) == 2
+        assert mean_matching(w) == pytest.approx(1.7 / 3)

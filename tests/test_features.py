@@ -5,6 +5,7 @@ import pytest
 from repro.core.features import (
     Attention,
     Projector,
+    cosine,
     cosine_matrix,
     encode_series,
     feature_dim,
@@ -192,3 +193,16 @@ class TestCosineMatrix:
         rng = np.random.default_rng(3)
         s = cosine_matrix(rng.standard_normal((5, 7)), rng.standard_normal((6, 7)))
         assert np.all(s <= 1.0 + 1e-9) and np.all(s >= -1.0 - 1e-9)
+
+
+class TestCosine:
+    def test_matches_cosine_matrix(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal(9), rng.standard_normal(9)
+        assert cosine(a, b) == pytest.approx(cosine_matrix(a, b)[0, 0])
+        assert cosine(a, a) == pytest.approx(1.0)
+
+    def test_zero_vector_is_zero_not_nan(self):
+        z = np.zeros(6)
+        assert cosine(z, np.ones(6)) == 0.0
+        assert cosine(z, z) == 0.0

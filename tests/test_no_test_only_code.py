@@ -13,9 +13,10 @@ the code under ``src/``, ``jobs/``, ``benchmarks/`` and ``perfbench/``.
 * A defaulted parameter of a public function, method or constructor
   (``__init__``, or a dataclass field) must be passed, by keyword or by
   position, at some program call site. A setting with one value is a
-  constant, not a parameter. The configuration dataclasses in
-  :data:`CONFIGS` are exempt: they hold the paper's hyper-parameters
-  (Sec. VII-B), which Table VII sweeps.
+  constant, not a parameter. This also holds for the jobs' shared
+  prologue ``jobs/_common.py``, which the jobs import as ``_common``.
+  The configuration dataclasses in :data:`CONFIGS` are exempt: they hold
+  the paper's hyper-parameters (Sec. VII-B), which Table VII sweeps.
 
 A reference oracle or helper that only tests need lives in ``tests/``.
 """
@@ -27,6 +28,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GUARDED = sorted((ROOT / "src" / "repro").rglob("*.py"))
+#: modules whose defaulted parameters some program call must pass
+SETTINGS_GUARDED = GUARDED + [ROOT / "jobs" / "_common.py"]
 USERS = ("src", "jobs", "benchmarks", "perfbench")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -36,8 +39,11 @@ ANY = None
 
 
 def _module(path: Path, root: Path = ROOT) -> str | None:
-    """Dotted module name of a file under ``src/`` (``repro.core.fcm``);
-    None for a file elsewhere."""
+    """Dotted module name of a file under ``src/`` (``repro.core.fcm``),
+    the bare name of a job file (jobs import ``_common`` from their own
+    directory); None for a file elsewhere."""
+    if path.parent == root / "jobs":
+        return path.stem
     if root / "src" not in path.parents:
         return None
     parts = path.relative_to(root / "src").with_suffix("").parts
@@ -372,7 +378,25 @@ def test_guard_flags_a_setting_no_call_passes(tmp_path):
     assert _unset(srcs[0], calls) == ["f(d)", "K(z)", "K.m(p)", "R(c)"]
 
 
-@pytest.mark.parametrize("path", GUARDED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_guard_flags_a_job_setting_no_job_passes(tmp_path):
+    """A job reaches ``_common`` by its bare module name."""
+    srcs = _write_src(tmp_path, {
+        "jobs/_common.py": (
+            "def trained_fcm(bench, *, variant='full', epochs=60): ...\n"
+            "def setup(argv=None, *, with_tpch=True): ...\n"
+        ),
+        "jobs/table2.py": (
+            "from _common import setup, trained_fcm\n"
+            "def main(argv=None):\n"
+            "    bench = setup(argv)\n"
+            "    return trained_fcm(bench, variant='no_da')\n"
+        ),
+    })
+    calls = [c for s in srcs for c in _calls(s)]
+    assert _unset(srcs[0], calls) == ["trained_fcm(epochs)", "setup(with_tpch)"]
+
+
+@pytest.mark.parametrize("path", SETTINGS_GUARDED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_settings_passed_by_the_program(path, program, calls):
     (src,) = [s for s in program if s.path == path]
     unset = _unset(src, calls)

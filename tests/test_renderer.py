@@ -75,7 +75,8 @@ class TestRenderChart:
     def test_y_range_covers_data(self, cfg):
         data = [np.linspace(-5, 5, 50)]
         chart = render_chart(data, cfg)
-        lo, hi = chart.y_range
+        vals = [v for _, v in chart.ticks]
+        lo, hi = min(vals), max(vals)
         assert lo <= -5 and hi >= 5
 
     def test_each_line_present_in_masks(self, cfg):
