@@ -22,8 +22,13 @@ Writes ``BENCH_kernels.json`` at the repository root.
   all tables, with the largest
   feature and score differences and whether pairs, inferred operators,
   kept columns and top-k rankings are identical.
+* ``qetch``: ms per (query, table) pair of ``QetchStar.score`` (one
+  broadcast over the table's window stacks) against ``qetch_reference``
+  of ``tests/test_baselines.py`` (one window at a time), and
+  ``QetchStar.encode_table`` ms per table, all tiny-benchmark queries ×
+  all tables, with whether every score is ``==`` the oracle's.
 
-Run from the repository root (about two minutes on 4 cores):
+Run from the repository root (about three minutes on 4 cores):
 
     PYTHONPATH=src python benchmarks/kernels.py
 """
@@ -41,6 +46,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
+from repro.baselines.qetch import QetchStar  # noqa: E402
 from repro.bench.benchmark import build_benchmark  # noqa: E402
 from repro.config import tiny_benchmark_config  # noqa: E402
 from repro.core.dtw import dtw_distances  # noqa: E402
@@ -48,6 +54,7 @@ from repro.core.features import unit_rows  # noqa: E402
 from repro.core.fcm import make_model  # noqa: E402
 from repro.core.matcher import match_fine  # noqa: E402
 from repro.core.relevance import STACK_PAIRS, rel_scores  # noqa: E402
+from tests.test_baselines import qetch_reference  # noqa: E402
 from tests.test_dtw import dtw_reference  # noqa: E402
 from tests.test_encoders import encode_table_reference, packed_variants  # noqa: E402
 from tests.test_matcher import match_reference  # noqa: E402
@@ -154,10 +161,14 @@ def matcher_row(bench, model) -> dict:
     tids = list(bench.repository)
     encs = [model.encode_table(tb) for tb in bench.repository.values()]
     refs = [encode_table_reference(model.dataset_encoder, tb) for tb in bench.repository.values()]
+    lines = [q.extracted.lines for q in bench.queries]
     queries = [model.encode_query(q.extracted) for q in bench.queries]
     n_pairs = len(queries) * len(encs)
     t = time.perf_counter()
-    ref = [[match_reference(q, e, r, tau) for e, r in zip(encs, refs)] for q in queries]
+    ref = [
+        [match_reference(q, ln, e, r, tau) for e, r in zip(encs, refs)]
+        for q, ln in zip(queries, lines)
+    ]
     oracle_s = time.perf_counter() - t
     prod_s = _median_s(lambda: [[match_fine(q, e, tau) for e in encs] for q in queries])
     got = [[match_fine(q, e, tau) for e in encs] for q in queries]
@@ -180,6 +191,33 @@ def matcher_row(bench, model) -> dict:
     }
 
 
+def qetch_row(bench) -> dict:
+    method = QetchStar()
+    tids = list(bench.repository)
+    tables = list(bench.repository.values())
+    eqs = [q.extracted for q in bench.queries]
+    n_pairs = len(eqs) * len(tables)
+    t = time.perf_counter()
+    ref = [[qetch_reference(eq, tb) for tb in tables] for eq in eqs]
+    oracle_s = time.perf_counter() - t
+    encode_s = _median_s(lambda: [method.encode_table(tb) for tb in tables])
+    encs = [method.encode_table(tb) for tb in tables]
+    preps = [method.prepare_query(eq) for eq in eqs]
+    score_s = _median_s(lambda: [[method.score(p, e) for e in encs] for p in preps])
+    got = [[method.score(p, e) for e in encs] for p in preps]
+    return {
+        "queries": len(eqs),
+        "tables": len(tables),
+        "pairs": n_pairs,
+        "oracle_ms_per_pair": round(1e3 * oracle_s / n_pairs, 3),
+        "score_ms_per_pair": round(1e3 * score_s / n_pairs, 3),
+        "encode_table_ms_per_table": round(1e3 * encode_s / len(tables), 3),
+        "speedup_with_encode": round(oracle_s / (score_s + encode_s), 1),
+        "bit_identical": got == ref,
+        "rankings_identical": _topk(tids, got, bench.cfg.k) == _topk(tids, ref, bench.cfg.k),
+    }
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as f:
@@ -198,12 +236,14 @@ def main(seed: int = 13) -> None:
         "what": "DTW kernel us per (series, column) pair vs the scalar oracle; "
         "tiny-benchmark local ground truth, batched vs one pair at a time; "
         "dataset encoder ms per table and HCMAN matcher ms per (query, table) "
-        "pair, stacked vs the per-column / per-variant oracles",
+        "pair, stacked vs the per-column / per-variant oracles; Qetch* ms per "
+        "(query, table) pair over window stacks built once per table vs the "
+        "per-window oracle",
         "config": f"tiny_benchmark_config(seed={seed}), full FCM, default head",
         "band": BAND,
         "stack_pairs": STACKS,
         "timing": f"median of {REPEATS} runs; scalar DTW over {SCALAR_PAIRS} pairs; "
-        "encoder and matcher oracles one run",
+        "encoder, matcher and Qetch* oracles one run",
         "hardware": {
             "cpu": _cpu_model(),
             "cpus": os.cpu_count(),
@@ -214,8 +254,9 @@ def main(seed: int = 13) -> None:
         "ground_truth": ground_truth_row(bench),
         "encoder": encoder_row(bench, model),
         "matcher": matcher_row(bench, model),
+        "qetch": qetch_row(bench),
     }
-    for key in ("ground_truth", "encoder", "matcher"):
+    for key in ("ground_truth", "encoder", "matcher", "qetch"):
         print(key, out[key], flush=True)
     with open(os.path.join(ROOT, "BENCH_kernels.json"), "w") as f:
         json.dump(out, f, indent=2)

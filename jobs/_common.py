@@ -3,8 +3,9 @@
 Each jobs/tableN_*.py reproduces one table of the paper's evaluation at
 "bench" scale (configurable via --tiny for smoke runs). The constructed
 benchmark (repository + queries + DTW ground truth) is expensive, so it
-is cached on disk keyed by its config and the source; all nine jobs share
-one build. ``rm -rf .bench_cache`` forces a cold run.
+is cached on disk keyed by the source and its config; all nine jobs share
+one build, and a build deletes the pickles of older sources.
+``rm -rf .bench_cache`` forces a cold run.
 """
 from __future__ import annotations
 
@@ -54,24 +55,36 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _cfg_key(cfg: BenchmarkConfig) -> str:
-    """Cache key: the config plus every ``src/repro`` source file, so a
-    change to the generator, DTW, the encoders or the head never reuses a
-    pickle built by older code."""
-    h = hashlib.sha256(repr(cfg).encode())
+    """Cache key ``{source}_{config}``. The source part hashes every
+    ``src/repro`` file, so a change to the generator, DTW, the encoders or
+    the head never reuses a pickle built by older code."""
+    h = hashlib.sha256()
     for path in sorted(glob.glob(os.path.join(SRC_DIR, "**", "*.py"), recursive=True)):
         h.update(os.path.relpath(path, SRC_DIR).encode())
         with open(path, "rb") as f:
             h.update(f.read())
-    return h.hexdigest()[:16]
+    return f"{h.hexdigest()[:16]}_{hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]}"
+
+
+def _evict_other_sources(key: str) -> None:
+    """Delete the cached pickles of every other source, which no job can
+    read; those of other configs from this source (``--tiny`` beside bench
+    scale) stay."""
+    os.makedirs(CACHE_DIR, exist_ok=True)
+    source = key.split("_")[0]
+    for path in glob.glob(os.path.join(CACHE_DIR, "*.pkl")):
+        if f"_{source}_" not in os.path.basename(path):
+            os.remove(path)
 
 
 def load_benchmark(spark: SparkSession, cfg: BenchmarkConfig, *, with_tpch: bool) -> Benchmark:
     """Build (or load the cached) benchmark for a config."""
-    os.makedirs(CACHE_DIR, exist_ok=True)
-    path = os.path.join(CACHE_DIR, f"bench_{_cfg_key(cfg)}.pkl")
+    key = _cfg_key(cfg)
+    path = os.path.join(CACHE_DIR, f"bench_{key}.pkl")
     if os.path.exists(path):
         with open(path, "rb") as f:
             return pickle.load(f)
+    _evict_other_sources(key)
     extra = None
     if with_tpch:
         from repro.lake.repository import tpch_derived_tables
@@ -94,12 +107,12 @@ def trained_fcm(
     from repro.bench.harness import train_fcm
     from repro.core.fcm import make_model
 
-    os.makedirs(CACHE_DIR, exist_ok=True)
     key = _cfg_key(bench.cfg)
     path = os.path.join(CACHE_DIR, f"fcm_{key}_{variant}_{n_neg}_{strategy}.pkl")
     if os.path.exists(path):
         with open(path, "rb") as f:
             return pickle.load(f)
+    _evict_other_sources(key)
     model = make_model(bench.cfg.fcm, variant=variant)
     result = train_fcm(bench, model, n_neg=n_neg, strategy=strategy)
     with open(path, "wb") as f:

@@ -31,7 +31,7 @@ class ExtractedQuery:
 
     ``lines`` are value-space traces (one float per pixel column, already
     calibrated via the ticks). ``y_range`` is the tick-derived value range
-    used for column filtering and the interval-tree probe (Sec. VI-A).
+    used for column filtering and the interval-index probe (Sec. VI-A).
     ``raster`` is kept for perception-only baselines (LineNet).
     """
 

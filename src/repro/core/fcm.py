@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.chartsim.extractor import ExtractedQuery
 from repro.config import FCMConfig
 from repro.core.data import LakeTable
@@ -65,9 +63,6 @@ class FCMModel:
         if self.variant == "no_hcman":
             return match_global(query, table_enc)
         return match_fine(query, table_enc, tau=self.cfg.attn_tau)
-
-    def features(self, query: QueryEncoding, table_enc: TableEncoding) -> np.ndarray:
-        return self.match(query, table_enc).features
 
     def score(self, query: QueryEncoding, table_enc: TableEncoding) -> float:
         """Rel'(V, T); 0.0 for a table with no finite column to match."""

@@ -122,14 +122,14 @@ def build_training_set(
         ids = [triplets[i].table_id for i in batch]
         for i in batch:
             t = triplets[i]
-            xs.append(model.features(t.query, table_encs[t.table_id]))
+            xs.append(model.match(t.query, table_encs[t.table_id]).features)
             ys.append(1.0)
             cand = [c for c in ids if c != t.table_id]
             if not cand:
                 continue
             rels = rel[i, [col[c] for c in cand]]
             for idx in select_negatives(rels, n_neg, strategy, rng):
-                xs.append(model.features(t.query, table_encs[cand[idx]]))
+                xs.append(model.match(t.query, table_encs[cand[idx]]).features)
                 ys.append(0.0)
     if not xs:
         raise ValueError("no training pairs produced")

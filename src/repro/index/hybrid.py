@@ -1,9 +1,9 @@
-"""Hybrid indexing strategy (Sec. VI-A): interval tree ∩ LSH.
+"""Hybrid indexing strategy (Sec. VI-A): interval index ∩ LSH.
 
-At query time the tick-derived y-range probes the interval tree (set S1)
+At query time the tick-derived y-range probes the interval index (set S1)
 and each extracted line's mean embedding probes the LSH index (set S2);
 only tables in S1 ∩ S2 are scored with the relevance model. The four
-strategies of Table VIII are: no index (scan), interval tree only, LSH
+strategies of Table VIII are: no index (scan), interval index only, LSH
 only, and the hybrid intersection.
 """
 from __future__ import annotations

@@ -6,12 +6,44 @@ from repro.baselines.cml import CML
 from repro.baselines.combos import DeepEyeLineNet, OptLineNet
 from repro.baselines.deepeye import column_goodness, recommend
 from repro.baselines.linenet import embed_raster
-from repro.baselines.qetch import QetchStar, qetch_line_cost
+from repro.baselines.qetch import QetchStar
 from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
 from repro.chartsim.spec import VisSpec, underlying_data
+from repro.core.bipartite import mean_matching
 from repro.core.data import LakeTable
-from repro.core.features import cosine
+from repro.core.dtw import resample
+from repro.core.features import cosine, znorm
+
+
+def qetch_line_cost(line: np.ndarray, col: np.ndarray) -> float:
+    """Oracle: best local-window Qetch cost between one line and one column,
+    one window at a time (``QetchStar`` builds the windows once per table)."""
+    sk, _, _ = znorm(resample(line, 48))
+    dsk = np.diff(sk)
+    z, _, _ = znorm(col)
+    n = z.size
+    best = np.inf
+    for frac in (0.33, 0.5, 0.75, 1.0):
+        w = max(8, int(round(n * frac)))
+        if w > n:
+            continue
+        starts = np.unique(np.linspace(0, n - w, num=min(8, n - w + 1), dtype=int))
+        for s in starts:
+            win, _, _ = znorm(resample(z[s : s + w], 48))
+            dwin = np.diff(win)
+            cost = 0.6 * np.abs(sk - win).mean() + 0.4 * np.abs(dsk - dwin).mean()
+            best = min(best, float(cost))
+    return best
+
+
+def qetch_reference(eq: ExtractedQuery, table: LakeTable) -> float:
+    """Oracle Qetch* score: per-pair ``1 / (1 + cost)`` over the finite
+    columns, then the mean max-weight matching."""
+    cols = [c for c in table.columns if np.isfinite(c).all()]
+    return mean_matching(
+        np.array([[1.0 / (1.0 + qetch_line_cost(line, c)) for c in cols] for line in eq.lines])
+    )
 
 
 def score_raw(method, eq: ExtractedQuery, table: LakeTable) -> float:
@@ -81,6 +113,31 @@ class TestQetch:
         src, _, _, eq = world
         s = score_raw(QetchStar(), eq, src)
         assert 0.0 < s <= 1.0
+
+    @pytest.mark.parametrize(
+        "case", ["src", "other", "short", "one_row", "more_lines", "constant", "nan_column"]
+    )
+    def test_score_equals_oracle(self, world, case):
+        """The window stacks built once per table score exactly as the
+        per-pair, per-window loop does, on tables with no window too."""
+        src, other, _, eq = world
+        rng = np.random.default_rng(7)
+        nan = np.cumsum(rng.standard_normal(240))
+        nan[11] = np.nan
+        eq, table = {
+            "src": (eq, src),
+            "other": (eq, other),
+            "short": (eq, LakeTable("t", [rng.random(6), rng.random(6)])),
+            "one_row": (eq, LakeTable("t", [rng.random(1)])),
+            "more_lines": (
+                ExtractedQuery(eq.lines * 2, eq.y_range, eq.raster),
+                LakeTable("t", [src.columns[0], rng.random(240)]),
+            ),
+            "constant": (eq, LakeTable("t", [np.full(240, 3.0), src.columns[1]])),
+            "nan_column": (eq, LakeTable("t", [nan, src.columns[0], rng.random(240)])),
+        }[case]
+        m = QetchStar()
+        assert m.score(m.prepare_query(eq), m.encode_table(table)) == qetch_reference(eq, table)
 
 
 class TestLineNet:

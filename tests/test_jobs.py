@@ -99,3 +99,32 @@ class TestJobCache:
         src.write_text("x = 2\n")
         assert common._cfg_key(cfg) != key
         assert common._cfg_key(tiny_benchmark_config(14)) != common._cfg_key(cfg)
+
+    def test_a_build_evicts_only_other_sources(self, tmp_path, monkeypatch):
+        """A cache miss deletes the pickles of older sources, keeps this
+        source's pickles of other configs, and the next load is a hit."""
+        import pickle
+
+        from repro.config import BenchmarkConfig, tiny_benchmark_config
+
+        common = _load("_common")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "dtw.py").write_text("x = 1\n")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setattr(common, "SRC_DIR", str(tmp_path / "src"))
+        monkeypatch.setattr(common, "CACHE_DIR", str(cache))
+        bench_key = common._cfg_key(BenchmarkConfig(seed=13))
+        old_key = "0" * 16 + bench_key[16:]
+        kept = [f"bench_{bench_key}.pkl", f"fcm_{bench_key}_full_3_semihard.pkl"]
+        stale = [f"bench_{old_key}.pkl", f"fcm_{old_key}_full_3_semihard.pkl", "bench_0123456789abcdef.pkl"]
+        for name in kept + stale:
+            (cache / name).write_bytes(pickle.dumps(name))
+        builds = []
+        monkeypatch.setattr(common, "build_benchmark", lambda cfg, **_: builds.append(cfg) or cfg.seed)
+        cfg = tiny_benchmark_config(13)
+        assert common.load_benchmark(None, cfg, with_tpch=False) == 13
+        assert common.load_benchmark(None, cfg, with_tpch=False) == 13
+        assert builds == [cfg]
+        tiny = f"bench_{common._cfg_key(cfg)}.pkl"
+        assert sorted(p.name for p in cache.iterdir()) == sorted(kept + [tiny])

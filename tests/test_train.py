@@ -149,7 +149,7 @@ def build_training_set_reference(
         batch = [triplets[i] for i in order[start : start + batch_size]]
         ids = [t.table_id for t in batch]
         for t in batch:
-            xs.append(model.features(t.query, table_encs[t.table_id]))
+            xs.append(model.match(t.query, table_encs[t.table_id]).features)
             ys.append(1.0)
             cand = [i for i in ids if i != t.table_id]
             if not cand:
@@ -158,7 +158,7 @@ def build_training_set_reference(
                 [rel_reference(t.data, tables[c], max_len=64, band=8) for c in cand]
             )
             for idx in select_negatives(rels, n_neg, strategy, rng):
-                xs.append(model.features(t.query, table_encs[cand[idx]]))
+                xs.append(model.match(t.query, table_encs[cand[idx]]).features)
                 ys.append(0.0)
     return np.vstack(xs), np.asarray(ys)
 
