@@ -1,10 +1,12 @@
 """Shared infrastructure for the spark-submit job entrypoints.
 
 Each jobs/tableN_*.py reproduces one table of the paper's evaluation at
-"bench" scale (configurable via --tiny for smoke runs). The constructed
-benchmark (repository + queries + DTW ground truth) is expensive, so it
-is cached on disk keyed by the source and its config; all nine jobs share
-one build, and a build deletes the pickles of older sources.
+"bench" scale (configurable via --tiny for smoke runs);
+table2_overall.py also prints Tables III, V and VI from the same scoring
+runs. The constructed benchmark (repository + queries + DTW ground truth)
+is expensive, so it is cached on disk keyed by the source and its config;
+all six jobs share one build, and a build deletes the pickles of older
+sources.
 ``rm -rf .bench_cache`` forces a cold run.
 """
 from __future__ import annotations

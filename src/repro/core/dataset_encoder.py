@@ -47,6 +47,8 @@ from repro.core.features import (
     znorm,
 )
 
+HMRL_MIX = 0.2  # blend weight of the HMRL root into the identity segment embedding
+
 
 @dataclass
 class ColumnEncoding:
@@ -148,8 +150,6 @@ class DatasetEncoder:
         # the same layers as the line chart encoder (seeded_layers)
         self.projector, self.attention = seeded_layers(cfg)
         self.hmrl = HMRL(cfg.k, seed=cfg.seed + 4)
-        #: blend weight of the HMRL root into the segment embedding
-        self.hmrl_mix = 0.2
 
     def _encode_raw(
         self, series: np.ndarray, seg_len: int, with_hmrl: bool
@@ -168,7 +168,7 @@ class DatasetEncoder:
                 z, seg_len, self.cfg.beta, self.cfg.n_profile,
                 self.projector, mu, sigma,
             )
-            emb = (1 - self.hmrl_mix) * emb + self.hmrl_mix * roots
+            emb = (1 - HMRL_MIX) * emb + HMRL_MIX * roots
         return emb
 
     def encode_table(self, table: LakeTable) -> TableEncoding:

@@ -12,7 +12,7 @@ from repro.chartsim.extractor import ExtractedQuery, extract
 from repro.chartsim.renderer import render_chart
 from repro.config import AGG_OPS, ALL_OPS, FCMConfig
 from repro.core.data import LakeTable, interval_keys
-from repro.core.dataset_encoder import DatasetEncoder, HMRL, TableEncoding
+from repro.core.dataset_encoder import DatasetEncoder, HMRL, HMRL_MIX, TableEncoding
 from repro.core.features import Projector, feature_dim, unit_rows, znorm
 from repro.core.line_encoder import LineChartEncoder
 
@@ -145,7 +145,7 @@ def encode_table_reference(enc: DatasetEncoder, table: LakeTable) -> list[RefCol
     for col_id, col in enumerate(table.columns):
         emb = encode_series_reference(col, cfg.p2, enc)
         if cfg.da_enabled and cfg.p2 >= 2**cfg.beta and col.size >= cfg.p2:
-            emb = (1 - enc.hmrl_mix) * emb + enc.hmrl_mix * _hmrl_ref(col, cfg.p2, enc)
+            emb = (1 - HMRL_MIX) * emb + HMRL_MIX * _hmrl_ref(col, cfg.p2, enc)
         variants = [RefVariant("id", 1, emb, (float(col.min()), float(col.max())))]
         if cfg.da_enabled:
             for op in AGG_OPS:

@@ -24,6 +24,27 @@ def _load(name: str):
 ARGS = ["--tiny", "--seed", "13"]
 
 
+def _counting_run_method(job) -> list[str]:
+    """Wrap a loaded job's ``run_method``; returns the scored method names."""
+    calls = []
+    run_method = job.run_method
+
+    def counted(spark, bench, method):
+        calls.append(method.name)
+        return run_method(spark, bench, method)
+
+    job.run_method = counted
+    return calls
+
+
+@pytest.fixture(scope="module")
+def effectiveness(spark):
+    """One run of the Tables II/III/V/VI job and the methods it scored."""
+    job = _load("table2_overall")
+    calls = _counting_run_method(job)
+    return job.main(ARGS), calls
+
+
 @pytest.mark.usefixtures("spark")
 class TestJobs:
     def test_table1(self, spark):
@@ -32,14 +53,20 @@ class TestJobs:
         assert got["Repository"]["overall"] > got["Query"]["overall"]
         assert sum(got["Query"][b] for b in ("1", "2-4", "5-7", ">7")) == got["Query"]["overall"]
 
-    def test_table2(self, spark):
-        got = _load("table2_overall").main(ARGS)
+    def test_table2(self, effectiveness):
+        tables, calls = effectiveness
+        assert set(tables) == {"II", "III", "V", "VI"}
+        # each method, and each ablation, is scored exactly once
+        assert sorted(calls) == sorted(
+            ["CML", "DE-LN", "Opt-LN", "Qetch*", "FCM", "FCM-HCMAN", "FCM-DA"]
+        )
+        got = tables["II"]
         key = ("Overall", "prec")
         assert set(got[key]) == {"CML", "DE-LN", "Opt-LN", "Qetch*", "FCM"}
         assert all(0.0 <= v <= 1.0 for v in got[key].values())
 
-    def test_table3(self, spark):
-        got = _load("table3_multiline").main(ARGS)
+    def test_table3(self, effectiveness):
+        got = effectiveness[0]["III"]
         assert any(k[1] == "prec" for k in got)
         for (_bucket, _metric), row in got.items():
             assert all(0.0 <= v <= 1.0 for v in row.values())
@@ -51,13 +78,13 @@ class TestJobs:
             assert op in ("avg", "sum", "max", "min")
             assert 0.0 <= v <= 1.0
 
-    def test_table5(self, spark):
-        got = _load("table5_hcman_ablation").main(ARGS)
+    def test_table5(self, effectiveness):
+        got = effectiveness[0]["V"]
         assert got[("FCM", "Overall")]["prec"] >= 0.0
         assert ("FCM-HCMAN", "Overall") in got
 
-    def test_table6(self, spark):
-        got = _load("table6_da_ablation").main(ARGS)
+    def test_table6(self, effectiveness):
+        got = effectiveness[0]["VI"]
         for name in ("FCM", "FCM-DA"):
             assert ("Overall" in [p for (n, p) in got if n == name])
 
@@ -76,11 +103,16 @@ class TestJobs:
         assert got["interval"]["prec"] == pytest.approx(got["none"]["prec"])
 
     def test_table9(self, spark):
-        got = _load("table9_negatives").main(ARGS)
+        job = _load("table9_negatives")
+        calls = _counting_run_method(job)
+        got = job.main(ARGS)
         assert set(got["n_neg"]) == {1, 3}
         assert set(got["strategy"]) == {"random", "semihard"}
         for m in got["n_neg"].values():
             assert m["converged_epoch"] >= 1
+        # N-=3 and semi-hard are one head, scored once: three heads, three runs
+        assert len(calls) == len(set(calls)) == 3
+        assert got["strategy"]["semihard"] == got["n_neg"][3]
 
 
 class TestJobCache:
