@@ -8,7 +8,9 @@ the resident artefacts:
 
 * ``noop_raw_s`` / ``noop_encoded_s``: a job over every partition of the
   resident raw / encoded artefact that reads each record and returns
-  nothing but its task timings: the fixed cost of one request;
+  nothing but its task timings, shipped like a request's task (one
+  broadcast, :func:`repro.lake.search._no_zip_rescan` first): the fixed
+  cost of one request;
 * ``scan_s``: ``score_with_method`` + ``ranked_topk`` for a batch of
   ``BATCH`` queries against every table (full FCM, default head);
 * ``ground_truth_s``: ``spark_ground_truth`` for the same batch;
@@ -17,8 +19,10 @@ the resident artefacts:
   task's first byte) to the start of the UDF, and the part of it before
   the task's command is read (``boot_to_init_s``, which holds
   ``setup_spark_files`` and its ``importlib.invalidate_caches()``), and
-  the cost of one more ``invalidate_caches()`` call, timed in a separate
-  job so that it does not add to the no-op latencies.
+  the cost of one ``invalidate_caches()`` call with the zip rescan that
+  request tasks turn off put back (``invalidate_caches_s``: what a
+  reused worker skips), timed in a separate job so that it does not add
+  to the no-op latencies.
 
 ``*_per_pair_ms`` is a request's latency above the no-op job over the
 artefact it reads, per (query, table) pair.
@@ -31,7 +35,10 @@ selects the tree (a few minutes on 4 cores):
 The ``parent`` entry of ``BENCH_requests.json`` times the lake before it
 was held as RDDs (persisted DataFrames read by ``mapInPandas``); it was
 recorded with a version of :func:`noop_job` that also drained a
-DataFrame artefact, which this one no longer does.
+DataFrame artefact, which this one no longer does. The entries before
+``rescan_change`` ran their no-op tasks without the hook, in a plain
+``mapPartitions`` job, and timed ``invalidate_caches()`` as the worker
+had it.
 """
 from __future__ import annotations
 
@@ -75,28 +82,38 @@ def task_timings() -> tuple[float, float]:
     return frame.f_locals["init_time"] - boot, udf_start - boot
 
 
-def noop_job(artefact) -> list[tuple[float, float]]:
+def noop_job(spark, artefact) -> list[tuple[float, float]]:
     """Read every record of a resident artefact, return each task's timings."""
+    from repro.lake.search import _collect
 
-    def drain(records):
+    def drain(_, records):
         timings = task_timings()
         for _ in records:
             pass
         yield timings
 
-    return artefact.mapPartitions(drain).collect()
+    return _collect(spark, artefact, drain, None)
 
 
 def invalidate_caches_s(spark) -> float:
-    """Median seconds of one more ``importlib.invalidate_caches()`` in a
-    Python worker, the call ``setup_spark_files`` makes for every task."""
+    """Median seconds of one ``importlib.invalidate_caches()`` in a Python
+    worker, the call ``setup_spark_files`` makes for every task, with the
+    original ``zipimporter.invalidate_caches`` put back for the call; the
+    worker keeps the request tasks' no-op afterwards."""
 
     def once(_):
         import importlib
+        import zipimport
 
-        t = time.perf_counter()
-        importlib.invalidate_caches()
-        yield time.perf_counter() - t
+        from repro.lake.search import _no_zip_rescan, _zip_rescan
+
+        zipimport.zipimporter.invalidate_caches = _zip_rescan
+        try:
+            t = time.perf_counter()
+            importlib.invalidate_caches()
+            yield time.perf_counter() - t
+        finally:
+            _no_zip_rescan()
 
     sc = spark.sparkContext
     runs = [sc.parallelize(range(PARALLELISM), PARALLELISM).mapPartitions(once).collect() for _ in range(3)]
@@ -131,9 +148,9 @@ def measure(spark, repository, queries, k: int) -> dict:
         "queries_per_request": len(batch),
         "pairs_per_request": pairs,
     }
-    out["noop_raw_s"], raw_tasks = timed(lambda: noop_job(resident_repository(spark, repository)))
+    out["noop_raw_s"], raw_tasks = timed(lambda: noop_job(spark, resident_repository(spark, repository)))
     out["noop_encoded_s"], enc_tasks = timed(
-        lambda: noop_job(resident_encodings(spark, repository, method))
+        lambda: noop_job(spark, resident_encodings(spark, repository, method))
     )
     out["scan_s"], _ = timed(
         lambda: ranked_topk(score_with_method(spark, repository, batch, method), k)

@@ -10,7 +10,13 @@ use RDDs were designed for: interactive queries over a cached working set
   partitions, so a request over it is one wave of one task per core. The
   driver splits the tables (:func:`balanced_partitions`): the split is
   deterministic, balanced by column count, and no table spans two
-  partitions, because the slowest task sets a request's time;
+  partitions, because the slowest task sets a request's time. It is
+  locally checkpointed, so its lineage ends at its own persisted blocks:
+  a ``parallelize`` partition carries its data, and without the
+  checkpoint every task of a stage over either artefact would ship its
+  partition's raw tables again. The cost: a lost block fails the job
+  instead of being recomputed, which with ``MEMORY_AND_DISK`` in local
+  mode happens only if the driver dies;
 * the encoded repository: ``(table_id, method.encode_table(table))`` for
   every table of the raw one, in the same partitions.
 
@@ -93,11 +99,14 @@ def resident_repository(spark: SparkSession, tables: dict[str, LakeTable]) -> RD
     """The persisted ``LakeTable`` RDD, one partition per core."""
     sc = spark.sparkContext
     n = sc.defaultParallelism
-    # one group per slice: parallelize never splits a group
-    return _resident(
-        spark, "raw", (repository_fingerprint(tables),),
-        lambda: sc.parallelize(balanced_partitions(tables, n), n).flatMap(lambda group: group),
-    )
+
+    def build() -> RDD:
+        # one group per slice: parallelize never splits a group
+        rdd = sc.parallelize(balanced_partitions(tables, n), n).flatMap(lambda group: group)
+        rdd.localCheckpoint()
+        return rdd
+
+    return _resident(spark, "raw", (repository_fingerprint(tables),), build)
 
 
 def resident_encodings(spark: SparkSession, tables: dict[str, LakeTable], method) -> RDD:

@@ -1,6 +1,11 @@
 """Spark tests for repro.lake.search and repro.lake.resident: distributed
 scoring, the resident lake, the collected top-k."""
 import os
+import subprocess
+import sys
+import textwrap
+import zipimport
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +21,8 @@ from repro.bench.harness import FCMMethod
 from repro.core.data import LakeTable
 from repro.core.relevance import rel_scores
 from repro.lake.resident import balanced_partitions, resident_encodings, resident_repository
-from repro.lake.search import ranked_topk, score_with_method, spark_ground_truth
+from repro.lake import search
+from repro.lake.search import _collect, ranked_topk, score_with_method, spark_ground_truth
 from tests.oracle import assert_equivalent
 
 
@@ -174,6 +180,15 @@ class TestResidentLake:
         other.unpersist()
         mine.unpersist()
 
+    def test_raw_lineage_ends_at_its_checkpoint(self, spark, bench):
+        """Tasks over either artefact no longer carry the raw tables that a
+        ``parallelize`` partition holds, and the blocks still spill to disk."""
+        raw = resident_repository(spark, bench.repository)
+        enc = resident_encodings(spark, bench.repository, CML(bench.cfg.fcm))
+        for rdd in (raw, enc):
+            assert b"ParallelCollectionRDD" not in rdd.toDebugString()
+            assert rdd.getStorageLevel() == StorageLevel.MEMORY_AND_DISK
+
     def test_candidate_pairs_only(self, spark, bench):
         m = CML(bench.cfg.fcm)
         q0, q1 = bench.queries[:2]
@@ -267,6 +282,89 @@ class TestNoRequestLeftovers:
         for _ in range(5):
             request()
         assert len(os.listdir(temp_dir)) == before
+
+
+SOUNDNESS = """
+import importlib, sys, zipfile, zipimport
+from repro.lake.search import _keep_zip_directory, _no_zip_rescan
+
+def write_zip(path, *modules):
+    with zipfile.ZipFile(path, "w") as z:
+        for name in modules:
+            z.writestr(name + ".py", "VALUE = %r\\n" % name)
+    return path
+
+old = write_zip(sys.argv[1] + "/old.zip", "first_old", "second_old")
+sys.path.insert(0, old)
+import first_old
+directory = sys.path_importer_cache[old]._files
+
+_no_zip_rescan()
+_no_zip_rescan()
+assert zipimport.zipimporter.invalidate_caches is _keep_zip_directory
+importlib.invalidate_caches()
+assert sys.path_importer_cache[old]._files is directory
+import second_old
+
+new = write_zip(sys.argv[1] + "/new.zip", "in_new")
+sys.path.insert(0, new)
+importlib.invalidate_caches()
+import in_new
+assert (first_old.VALUE, second_old.VALUE, in_new.VALUE) == ("first_old", "second_old", "in_new")
+print("ok")
+"""
+
+
+class TestNoZipRescan:
+    """Each request task stops its worker's zipimporters from re-reading
+    their archives in PySpark's per-task set-up, which costs about 0.2 s;
+    a reused worker then skips it on every later task."""
+
+    def test_reused_workers_skip_the_rescan(self, spark, bench):
+        def probe(_, part):
+            import os
+            import sys
+            import zipimport
+
+            from repro.lake import search
+
+            for _ in part:
+                pass
+            directories = {
+                path: id(importer._files)
+                for path, importer in sys.path_importer_cache.items()
+                if isinstance(importer, zipimport.zipimporter)
+            }
+            noop = zipimport.zipimporter.invalidate_caches is search._keep_zip_directory
+            yield os.getpid(), noop, directories
+
+        raw = resident_repository(spark, bench.repository)
+        first = {pid: dirs for pid, _, dirs in _collect(spark, raw, probe, None)}
+        second = _collect(spark, raw, probe, None)
+        assert len(second) == spark.sparkContext.defaultParallelism
+        assert all(noop for _, noop, _ in second)
+        reused = [(pid, dirs) for pid, _, dirs in second if pid in first]
+        assert reused, "PySpark started a new worker for every task: the hook cannot help"
+        for pid, dirs in reused:
+            # the set-up of the second task kept every directory it had read
+            assert first[pid] and first[pid].items() <= dirs.items()
+        assert zipimport.zipimporter.invalidate_caches is search._zip_rescan
+
+    def test_archives_still_import(self, tmp_path):
+        """In a fresh interpreter, so this one is never patched: after the
+        hook a zip already on the path still imports and keeps its
+        directory, and a zip added later imports too."""
+        script = tmp_path / "soundness.py"
+        script.write_text(SOUNDNESS)
+        src = str(Path(search.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, str(script), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+        assert zipimport.zipimporter.invalidate_caches is search._zip_rescan
 
 
 class TestTopK:
