@@ -9,7 +9,7 @@ the resident artefacts:
 * ``noop_raw_s`` / ``noop_encoded_s``: a job over every partition of the
   resident raw / encoded artefact that reads each record and returns
   nothing but its task timings, shipped like a request's task (one
-  broadcast, :func:`repro.lake.search._no_zip_rescan` first): the fixed
+  broadcast, :func:`repro.lake.resident._no_zip_rescan` first): the fixed
   cost of one request;
 * ``scan_s``: ``score_with_method`` + ``ranked_topk`` for a batch of
   ``BATCH`` queries against every table (full FCM, default head);
@@ -105,7 +105,7 @@ def invalidate_caches_s(spark) -> float:
         import importlib
         import zipimport
 
-        from repro.lake.search import _no_zip_rescan, _zip_rescan
+        from repro.lake.resident import _no_zip_rescan, _zip_rescan
 
         zipimport.zipimporter.invalidate_caches = _zip_rescan
         try:

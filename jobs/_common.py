@@ -17,6 +17,7 @@ import hashlib
 import os
 import pickle
 import sys
+from typing import Any, Callable
 
 sys.path.insert(0, os.path.dirname(__file__))  # allow jobs importing _common
 
@@ -79,23 +80,31 @@ def _evict_other_sources(key: str) -> None:
             os.remove(path)
 
 
-def load_benchmark(spark: SparkSession, cfg: BenchmarkConfig, *, with_tpch: bool) -> Benchmark:
-    """Build (or load the cached) benchmark for a config."""
-    key = _cfg_key(cfg)
-    path = os.path.join(CACHE_DIR, f"bench_{key}.pkl")
+def _cached(key: str, name: str, build: Callable[[], Any]) -> Any:
+    """The pickle ``{name}.pkl`` in the cache, or ``build()``'s result,
+    dumped there after the pickles of other sources are evicted."""
+    path = os.path.join(CACHE_DIR, f"{name}.pkl")
     if os.path.exists(path):
         with open(path, "rb") as f:
             return pickle.load(f)
     _evict_other_sources(key)
-    extra = None
-    if with_tpch:
+    obj = build()
+    with open(path, "wb") as f:
+        pickle.dump(obj, f)
+    return obj
+
+
+def load_benchmark(spark: SparkSession, cfg: BenchmarkConfig, *, with_tpch: bool) -> Benchmark:
+    """Build (or load the cached) benchmark for a config."""
+
+    def build() -> Benchmark:
         from repro.lake.repository import tpch_derived_tables
 
-        extra = tpch_derived_tables(spark, sf=0.001, seed=cfg.seed)
-    bench = build_benchmark(cfg, spark=spark, extra_tables=extra)
-    with open(path, "wb") as f:
-        pickle.dump(bench, f)
-    return bench
+        extra = tpch_derived_tables(spark, sf=0.001, seed=cfg.seed) if with_tpch else None
+        return build_benchmark(cfg, spark=spark, extra_tables=extra)
+
+    key = _cfg_key(cfg)
+    return _cached(key, f"bench_{key}", build)
 
 
 def trained_fcm(
@@ -109,17 +118,12 @@ def trained_fcm(
     from repro.bench.harness import train_fcm
     from repro.core.fcm import make_model
 
+    def build():
+        model = make_model(bench.cfg.fcm, variant=variant)
+        return model, train_fcm(bench, model, n_neg=n_neg, strategy=strategy)
+
     key = _cfg_key(bench.cfg)
-    path = os.path.join(CACHE_DIR, f"fcm_{key}_{variant}_{n_neg}_{strategy}.pkl")
-    if os.path.exists(path):
-        with open(path, "rb") as f:
-            return pickle.load(f)
-    _evict_other_sources(key)
-    model = make_model(bench.cfg.fcm, variant=variant)
-    result = train_fcm(bench, model, n_neg=n_neg, strategy=strategy)
-    with open(path, "wb") as f:
-        pickle.dump((model, result), f)
-    return model, result
+    return _cached(key, f"fcm_{key}_{variant}_{n_neg}_{strategy}", build)
 
 
 def setup(argv=None):

@@ -8,9 +8,10 @@ Every retrieval method — FCM variants and all baselines — implements:
   ``repro.lake.resident``);
 * ``score(query_prep, table_enc)``: the relevance estimate Rel'(V, T).
 
-A baseline scores only a table's finite columns (:func:`finite_column_ids`)
-and gives a table with none 0.0, as FCM does, so a NaN or ±inf cell never
-reaches a score.
+A baseline scores only the columns its table marks usable
+(``LakeTable.finite``, the mask FCM's encoder and the interval index read
+too) and gives a table with none 0.0, as FCM does, so a NaN or ±inf cell
+never reaches a score.
 
 Instances must be picklable (numpy only) so the harness can broadcast
 them to executors; their pickle also keys the resident encodings, and so
@@ -19,8 +20,6 @@ must change whenever ``encode_table``'s output would.
 from __future__ import annotations
 
 from typing import Any
-
-import numpy as np
 
 from repro.chartsim.extractor import ExtractedQuery
 from repro.core.data import LakeTable
@@ -37,8 +36,3 @@ class Method:
 
     def score(self, query_prep: Any, table_enc: Any) -> float:
         raise NotImplementedError
-
-
-def finite_column_ids(table: LakeTable) -> list[int]:
-    """Indices of the table's columns with no NaN or ±inf value."""
-    return [i for i, c in enumerate(table.columns) if np.isfinite(c).all()]

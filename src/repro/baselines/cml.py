@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import Method, finite_column_ids
+from repro.baselines.base import Method
 from repro.chartsim.extractor import ExtractedQuery
 from repro.config import FCMConfig
 from repro.core.data import LakeTable
@@ -30,23 +30,20 @@ class CML(Method):
         # trained cross-modal alignment, same substitution as FCM).
         self.projector, self.attention = seeded_layers(self.cfg)
 
-    def _embed(self, series: list[np.ndarray]):
-        """The one global vector and the value range of equal-length
-        series: each series is a single 'segment', and the attended
-        series embeddings are averaged."""
-        z, mu, sigma = znorm(np.vstack(series))
+    def _embed(self, series: np.ndarray):
+        """The one global vector and the value range of a ``(S, n)``
+        stack of series: each series is a single 'segment', and the
+        attended series embeddings are averaged."""
+        z, mu, sigma = znorm(series)
         feats = segment_features(z[:, None, :], mu, sigma, self.cfg.n_profile)
         vecs = self.projector(feats)[:, 0, :]
-        lo = min(float(np.min(s)) for s in series)
-        hi = max(float(np.max(s)) for s in series)
-        return self.attention(vecs).mean(axis=0), (lo, hi)
+        return self.attention(vecs).mean(axis=0), (float(series.min()), float(series.max()))
 
     def prepare_query(self, eq: ExtractedQuery):
-        return self._embed(eq.lines)
+        return self._embed(np.vstack(eq.lines))
 
     def encode_table(self, table: LakeTable):
-        cols = [table.columns[i] for i in finite_column_ids(table)]
-        return self._embed(cols) if cols else None
+        return self._embed(table.columns[table.finite]) if table.finite.any() else None
 
     def score(self, query_prep, table_enc) -> float:
         """0.7 cosine + 0.3 global range IoU — a trained global model

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.baselines.base import Method, finite_column_ids
+from repro.baselines.base import Method
 from repro.baselines.deepeye import recommend
 from repro.baselines.linenet import embed_raster
 from repro.chartsim.extractor import ExtractedQuery
@@ -58,11 +58,10 @@ class DeepEyeLineNet(_LineNetSearch):
     name = "DE-LN"
 
     def encode_table(self, table: LakeTable) -> list[np.ndarray]:
-        keep = finite_column_ids(table)
-        if not keep:
+        if not table.finite.any():
             return []
-        if len(keep) < table.n_cols:
-            table = LakeTable(table.table_id, [table.columns[i] for i in keep])
+        if not table.finite.all():
+            table = LakeTable(table.table_id, table.columns[table.finite])
         embs = []
         for spec in recommend(table):
             e = _render_embed(table, spec, self.cfg)
@@ -85,7 +84,7 @@ class OptLineNet(_LineNetSearch):
         super().__init__(cfg)
 
     def encode_table(self, table: LakeTable) -> list[np.ndarray]:
-        keep = finite_column_ids(table)
+        keep = np.flatnonzero(table.finite).tolist()
         spec = self.specs.get(table.table_id)
         if spec is None:
             spec = VisSpec(y_cols=tuple(keep[:3]))

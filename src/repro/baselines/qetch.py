@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import Method, finite_column_ids
+from repro.baselines.base import Method
 from repro.chartsim.extractor import ExtractedQuery
 from repro.core.bipartite import mean_matching
 from repro.core.data import LakeTable
@@ -59,7 +59,7 @@ class QetchStar(Method):
         return sketches
 
     def encode_table(self, table: LakeTable) -> list[np.ndarray]:
-        return [_column_windows(table.columns[i]) for i in finite_column_ids(table)]
+        return [_column_windows(c) for c in table.columns[table.finite]]
 
     def score(self, query_prep: np.ndarray, table_enc: list[np.ndarray]) -> float:
         n = np.array([len(windows) for windows in table_enc], dtype=int)

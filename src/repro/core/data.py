@@ -1,9 +1,9 @@
 """Core data model: tables, underlying data, and aggregation operators.
 
-* :class:`LakeTable` — an in-memory table (list of numeric columns). The
-  resident Spark lake holds these objects whole (``lake/resident.py``), and
-  the long-format DataFrame of ``lake/repository.py`` is decoded back into
-  them inside the embedding job's pandas UDF.
+* :class:`LakeTable` — an in-memory table: a column matrix with its keys
+  and finite mask. The resident Spark lake holds these objects whole
+  (``lake/resident.py``), and the long-format DataFrame of
+  ``lake/repository.py`` is decoded back into them in the embedding UDF.
 * :func:`aggregate_series` — tumbling-window aggregation (Sec. II: avg,
   sum, max, min over a window size), the operator family behind DA-based
   queries.
@@ -14,7 +14,7 @@
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,29 +103,41 @@ def overlaps(lo, hi, qlo: float, qhi: float):
 
 @dataclass
 class LakeTable:
-    """An in-memory numeric table (the unit of discovery).
+    """An in-memory numeric table (the unit of discovery), and the one
+    place that decides which of its columns are usable.
 
-    ``columns`` holds the numeric columns as float64 arrays; all columns
-    share the same length (``n_rows``).
+    ``columns`` is stored as one read-only, C-contiguous ``(C, n_rows)``
+    float64 matrix. ``key_lo``/``key_hi`` are its :func:`interval_keys` (the
+    only caller), and ``finite`` marks a column usable exactly when its key
+    is not NaN: it holds no NaN or ±inf cell. Every consumer reads these.
     """
 
     table_id: str
-    columns: list[np.ndarray]
+    columns: np.ndarray
+    finite: np.ndarray = field(init=False, repr=False)
+    key_lo: np.ndarray = field(init=False, repr=False)
+    key_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.columns = [np.asarray(c, dtype=np.float64).ravel() for c in self.columns]
-        if not self.columns:
+        cols = [np.asarray(c, dtype=np.float64).ravel() for c in self.columns]
+        if not cols:
             raise ValueError(f"table {self.table_id}: at least one column required")
-        lens = {c.size for c in self.columns}
+        lens = {c.size for c in cols}
         if len(lens) != 1:
             raise ValueError(f"table {self.table_id}: ragged columns {lens}")
         if 0 in lens:
             raise ValueError(f"table {self.table_id}: columns have no rows")
+        self.columns = np.vstack(cols)
+        self.key_lo, self.key_hi = interval_keys(self.columns)
+        self.finite = ~np.isnan(self.key_lo)
+        # computed once for every consumer: none may change them
+        for a in (self.columns, self.key_lo, self.key_hi, self.finite):
+            a.flags.writeable = False
 
     @property
     def n_cols(self) -> int:
-        return len(self.columns)
+        return self.columns.shape[0]
 
     @property
     def n_rows(self) -> int:
-        return int(self.columns[0].size)
+        return self.columns.shape[1]

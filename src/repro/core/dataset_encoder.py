@@ -21,13 +21,13 @@ A table is encoded as one ``(C, n_rows)`` stack, one featurizer pass per
 embedding once, in the :class:`PackedVariants` the matcher consumes:
 every variant's unit-norm segment embeddings in one matrix. Beside it,
 one :class:`ColumnEncoding` per column records what the indexes and the
-global matcher need: the interval key of
-:func:`~repro.core.data.interval_keys` (the interval index and the column
-filter, Sec. VI-A, IV-C), the value range, the mean identity segment
-embedding (LSH, Sec. VI-A) and the column's ``(op, window)`` variants in
-packed order. A column with a NaN or infinite value is encoded as zeros
-and flagged non-finite; its interval and value range are NaN and it is
-never matched.
+global matcher need: the interval key (the matcher's column filter,
+Sec. IV-C), the value range, the mean identity segment embedding (LSH,
+Sec. VI-A) and the column's ``(op, window)`` variants in packed order.
+The key and the finite mask are the ones the :class:`LakeTable` made; the
+encoder only reads them. A column the table marks unusable (a NaN or
+infinite value) is encoded as zeros in a copy and flagged non-finite;
+its interval and value range are NaN and it is never matched.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import AGG_OPS, ALL_OPS, FCMConfig
-from repro.core.data import LakeTable, aggregate_series, interval_keys
+from repro.core.data import LakeTable, aggregate_series
 from repro.core.features import (
     Projector,
     encode_series,
@@ -56,7 +56,7 @@ class ColumnEncoding:
     segment embeddings live in the table's :class:`PackedVariants`."""
 
     col_id: int
-    interval: tuple[float, float]        # interval_keys: every window aggregate's range
+    interval: tuple[float, float]        # LakeTable key: every window aggregate's range
     value_range: tuple[float, float]     # plain [min, max]
     mean_emb: np.ndarray                 # column-level embedding (LSH / FCM-HCMAN)
     variants: list[tuple[str, int]]      # (op, window) per variant, packed order
@@ -77,7 +77,7 @@ class PackedVariants:
     op: np.ndarray        # (V,) index into ALL_OPS
     lo: np.ndarray        # (V,) value range of the transformed series
     hi: np.ndarray        # (V,)
-    finite: np.ndarray    # (C,) column holds no NaN / inf; others never match
+    finite: np.ndarray    # (C,) LakeTable.finite: the others never match
 
 
 @dataclass
@@ -176,12 +176,9 @@ class DatasetEncoder:
         length, so each (op, window) variant is one pass over the
         ``(C, n_rows)`` stack."""
         cfg = self.cfg
-        x = np.vstack(table.columns)
-        finite = np.isfinite(x).all(axis=1)
-        key_lo, key_hi = interval_keys(x)
-        # a non-finite column is encoded as zeros, so no NaN reaches the
+        # an unusable column is encoded as zeros, so no NaN reaches the
         # stack; the packed finite mask keeps it out of every match
-        x[~finite] = 0.0
+        x = np.where(table.finite[:, None], table.columns, 0.0)
         n = x.shape[1]
         # one (op, window, embeddings, range lo, range hi) entry per variant
         views = [
@@ -222,14 +219,14 @@ class DatasetEncoder:
             op=np.tile([ALL_OPS.index(op) for op, *_ in views], c),
             lo=np.column_stack([lo for *_, lo, _ in views]).ravel(),
             hi=np.column_stack([hi for *_, hi in views]).ravel(),
-            finite=finite,
+            finite=table.finite,
         )
         _, _, ident, vmin, vmax = views[0]
         columns = [
             ColumnEncoding(
                 col_id=j,
-                interval=(float(key_lo[j]), float(key_hi[j])),
-                value_range=(float(vmin[j]), float(vmax[j])) if finite[j] else (np.nan, np.nan),
+                interval=(float(table.key_lo[j]), float(table.key_hi[j])),
+                value_range=(float(vmin[j]), float(vmax[j])) if table.finite[j] else (np.nan, np.nan),
                 mean_emb=ident[j].mean(axis=0),
                 variants=[(op, w) for op, w, *_ in views],
             )

@@ -1,14 +1,14 @@
 """Interval index (Sec. VI-A).
 
-Each repository column is indexed by its interval key
-(:func:`repro.core.data.interval_keys`, the value range any supported
-aggregation of the column can reach), and a dataset is a candidate for a
-query iff at least one of its columns' keys overlaps the query's padded
-y-tick range (:func:`repro.core.data.overlaps`, the test the matcher's
-column filter applies too). A column with a NaN or ±inf value has no key
-and is not indexed. Because the filter is conservative it admits no
-false negatives on finite columns, so effectiveness equals a linear scan
-(paper Table VIII).
+Each repository column is indexed by its interval key (the value range
+any supported aggregation of the column can reach), which its
+:class:`~repro.core.data.LakeTable` computed once, and a dataset is a
+candidate for a query iff at least one of its columns' keys overlaps the
+query's padded y-tick range (:func:`repro.core.data.overlaps`, the test
+the matcher's column filter applies too). A column the table marks
+unusable (``LakeTable.finite``: a NaN or ±inf value) is not indexed.
+Because the filter is conservative it admits no false negatives on
+finite columns, so effectiveness equals a linear scan (paper Table VIII).
 
 The paper stores the keys in an interval tree. Here a probe admits
 nearly every table, so :class:`TableIntervals` keeps them as flat arrays
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.data import QUERY_PAD, LakeTable, interval_keys, overlaps, pad_query_range
+from repro.core.data import QUERY_PAD, LakeTable, overlaps, pad_query_range
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,11 @@ class TableIntervals:
 
 def build_table_interval_tree(tables: dict[str, LakeTable]) -> TableIntervals:
     """Index the interval key of every finite column of every table."""
-    keys = [interval_keys(np.vstack(t.columns)) for t in tables.values()]
-    lo = np.concatenate([np.empty(0), *(k[0] for k in keys)])
-    hi = np.concatenate([np.empty(0), *(k[1] for k in keys)])
-    tix = np.repeat(np.arange(len(keys)), [len(k[0]) for k in keys])
-    keep = ~np.isnan(lo)
+    ts = tables.values()
+    keep = np.concatenate([np.empty(0, dtype=bool), *(t.finite for t in ts)])
+    lo = np.concatenate([np.empty(0), *(t.key_lo for t in ts)])
+    hi = np.concatenate([np.empty(0), *(t.key_hi for t in ts)])
+    tix = np.repeat(np.arange(len(ts)), [t.n_cols for t in ts])
     return TableIntervals(lo[keep], hi[keep], tix[keep], tuple(tables))
 
 

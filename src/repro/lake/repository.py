@@ -5,10 +5,10 @@ The repository lives in long format — one row per column:
 LSH index are precomputed with ``applyInPandas`` (the distributed-dataflow
 core of this reproduction): the rows are grouped by ``table_id`` and each
 table is one stacked no-DA ``encode_table`` pass, which emits each finite
-column's mean segment embedding. A column with a NaN or ±inf value gets
-no row, so it never enters the index. The interval keys are not
-computed here; the driver builds them with
-:func:`repro.core.data.interval_keys`.
+column's mean segment embedding. A column its ``LakeTable`` marks
+unusable (a NaN or ±inf value) gets no row, so it never enters the
+index. The interval keys are not computed here; the driver's interval
+index reads the ones each ``LakeTable`` made.
 
 Also provides TPC-H-lite derived chartable tables (daily order/lineitem
 aggregates via Spark SQL) that join the repository as realistic
@@ -31,6 +31,7 @@ from pyspark.sql.types import (
 )
 
 from repro.core.data import LakeTable
+from repro.lake.resident import _shipped
 
 COLUMNS_SCHEMA = StructType(
     [
@@ -69,9 +70,7 @@ def repository_df(spark: SparkSession, tables: dict[str, LakeTable] | Iterable[L
 def iter_tables(pdf: pd.DataFrame) -> Iterator[LakeTable]:
     """Group a long-format pandas slice back into LakeTables (UDF helper)."""
     for tid, grp in pdf.groupby("table_id", sort=False):
-        grp = grp.sort_values("col_id")
-        cols = [np.asarray(v, dtype=np.float64) for v in grp["values"]]
-        yield LakeTable(str(tid), cols)
+        yield LakeTable(str(tid), list(grp.sort_values("col_id")["values"]))
 
 
 def embed_repository(spark_df: DataFrame, fcm_cfg) -> DataFrame:
@@ -96,11 +95,12 @@ def embed_repository(spark_df: DataFrame, fcm_cfg) -> DataFrame:
             {
                 "table_id": pdf["table_id"][ok],
                 "col_id": pdf["col_id"][ok],
-                "emb": [c.mean_emb.tolist() for c in te.finite_columns],
+                # object dtype even with no row to infer it from
+                "emb": pd.Series([c.mean_emb.tolist() for c in te.finite_columns], pdf.index[ok], object),
             }
         )
 
-    return spark_df.groupBy("table_id").applyInPandas(run, schema=EMBED_SCHEMA)
+    return spark_df.groupBy("table_id").applyInPandas(_shipped(run), schema=EMBED_SCHEMA)
 
 
 # --------------------------------------------------------------------------

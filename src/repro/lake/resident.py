@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import zipimport
 from typing import Callable
 
 from pyspark import RDD, StorageLevel
@@ -50,18 +51,52 @@ _held: dict[str, tuple[tuple, RDD]] = {}
 
 
 def repository_fingerprint(tables: dict[str, LakeTable]) -> str:
-    """sha256 over the sorted table ids and the float64 bytes of every
-    column, each length-prefixed, so any changed value changes it."""
+    """sha256 over the sorted tables' length-prefixed ids, shapes and column
+    matrices' float64 bytes: any changed value, id or shape changes it."""
     h = hashlib.sha256()
     for tid in sorted(tables):
         table = tables[tid]
         name = table.table_id.encode()
         h.update(len(name).to_bytes(8, "little") + name)
-        h.update(len(table.columns).to_bytes(8, "little"))
-        for c in table.columns:
-            h.update(c.size.to_bytes(8, "little"))
-            h.update(c.astype("<f8", copy=False).tobytes())
+        h.update(b"%d,%d;" % table.columns.shape)
+        h.update(table.columns.astype("<f8", copy=False).tobytes())
     return h.hexdigest()
+
+
+#: ``zipimporter.invalidate_caches`` as Python defines it, which
+#: :func:`_no_zip_rescan` replaces in a worker
+_zip_rescan = zipimport.zipimporter.invalidate_caches
+
+
+def _keep_zip_directory(importer) -> None:
+    """``zipimporter.invalidate_caches`` in a worker: keep the directory read."""
+
+
+def _no_zip_rescan() -> None:
+    """Stop this Python worker's zipimporters from re-reading their
+    archives' directories on ``importlib.invalidate_caches()``.
+
+    PySpark's ``setup_spark_files`` calls that before every task, and the
+    importers of ``pyspark.zip``, the py4j zip and the spark-core jar then
+    re-read their directories: about 0.2 s per task. PySpark reuses its
+    workers, so after one call every later task in the worker skips it.
+    Sound because an archive already on the path does not change while the
+    worker lives, and a zip added later (``addPyFile``, which the program
+    never calls) gets a new importer that reads its directory when made.
+    Idempotent; only :func:`_shipped` functions call it, never the driver.
+    """
+    zipimport.zipimporter.invalidate_caches = _keep_zip_directory
+
+
+def _shipped(f: Callable) -> Callable:
+    """``f`` for a worker, calling :func:`_no_zip_rescan` first: the
+    artefact builds, the request tasks and the embedding UDF."""
+
+    def task(arg):
+        _no_zip_rescan()
+        return f(arg)
+
+    return task
 
 
 def balanced_partitions(tables: dict[str, LakeTable], n: int) -> list[list[LakeTable]]:
@@ -102,7 +137,7 @@ def resident_repository(spark: SparkSession, tables: dict[str, LakeTable]) -> RD
 
     def build() -> RDD:
         # one group per slice: parallelize never splits a group
-        rdd = sc.parallelize(balanced_partitions(tables, n), n).flatMap(lambda group: group)
+        rdd = sc.parallelize(balanced_partitions(tables, n), n).flatMap(_shipped(lambda group: group))
         rdd.localCheckpoint()
         return rdd
 
@@ -117,6 +152,6 @@ def resident_encodings(spark: SparkSession, tables: dict[str, LakeTable], method
     return _resident(
         spark, "encoded", (fingerprint, method_key),
         lambda: resident_repository(spark, tables).map(
-            lambda t: (t.table_id, method.encode_table(t))
+            _shipped(lambda t: (t.table_id, method.encode_table(t)))
         ),
     )

@@ -14,7 +14,6 @@ and ndcg@k are computed on the driver from those rankings.
 """
 from __future__ import annotations
 
-import zipimport
 from itertools import repeat
 
 import numpy as np
@@ -31,7 +30,7 @@ from pyspark.sql.types import (
 from repro.baselines.base import Method
 from repro.bench.metrics import top_k
 from repro.core.data import LakeTable
-from repro.lake.resident import resident_encodings, resident_repository
+from repro.lake.resident import _shipped, resident_encodings, resident_repository
 
 SCORES_SCHEMA = StructType(
     [
@@ -42,39 +41,6 @@ SCORES_SCHEMA = StructType(
 )
 
 
-#: ``zipimporter.invalidate_caches`` as Python defines it, which
-#: :func:`_no_zip_rescan` replaces in a worker
-_zip_rescan = zipimport.zipimporter.invalidate_caches
-
-
-def _keep_zip_directory(importer) -> None:
-    """``zipimporter.invalidate_caches`` in a worker: keep the directory read."""
-
-
-def _no_zip_rescan() -> None:
-    """Stop every ``zipimporter`` of this Python worker from re-reading its
-    archive's directory when ``importlib.invalidate_caches()`` runs.
-
-    PySpark's ``setup_spark_files`` calls ``importlib.invalidate_caches()``
-    before every task, and the zipimporters for ``pyspark.zip``, the py4j
-    zip and the spark-core jar on the worker's path then re-read their
-    archives' directories: about 0.2 s per task, most of a request's fixed
-    cost. PySpark reuses its workers (``spark.python.worker.reuse``), so
-    once a task has called this, every later task in the same worker skips
-    the rescan. Sound because:
-
-    * an archive already on the worker's path does not change while the
-      worker lives;
-    * a zip added later (``addPyFile``) gets a new path entry and a new
-      importer, which reads its directory when it is made. The program
-      adds none.
-
-    Idempotent. Only the task functions :func:`_collect` ships call it, so
-    the driver process is never patched.
-    """
-    zipimport.zipimporter.invalidate_caches = _keep_zip_directory
-
-
 def _collect(spark: SparkSession, artefact: RDD, score_partition, payload) -> list[tuple]:
     """``score_partition(payload, partition)`` over every partition of a
     resident artefact, collected.
@@ -83,17 +49,12 @@ def _collect(spark: SparkSession, artefact: RDD, score_partition, payload) -> li
     request leaves no file in the driver's temp directory whatever its
     size. A payload in the task closure would leak above
     ``spark.broadcast.UDFCompressionThreshold`` (1 MB), where PySpark
-    broadcasts the task itself and never destroys it. Each task first calls
-    :func:`_no_zip_rescan`, so its worker's later tasks start sooner.
+    broadcasts the task itself and never destroys it. Each task is
+    :func:`_shipped`, so its worker's later tasks start sooner.
     """
     bc = spark.sparkContext.broadcast(payload)
-
-    def task(part):
-        _no_zip_rescan()
-        return score_partition(bc.value, part)
-
     try:
-        return artefact.mapPartitions(task).collect()
+        return artefact.mapPartitions(_shipped(lambda part: score_partition(bc.value, part))).collect()
     finally:
         bc.destroy()
 

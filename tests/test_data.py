@@ -70,6 +70,19 @@ class TestLakeTable:
         t = LakeTable("t", [np.arange(5), np.ones(5)])
         assert t.n_cols == 2 and t.n_rows == 5
 
+    def test_one_read_only_matrix_with_its_keys_and_mask(self):
+        cols = [np.arange(5.0), np.array([1.0, np.nan, 2.0, 3.0, 4.0]), np.full(5, -np.inf)]
+        t = LakeTable("t", cols)
+        assert t.columns.shape == (3, 5) and t.columns.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            t.columns[0, 0] = 1.0
+        cols[0][0] = 9.0  # the table holds its own copy
+        assert t.columns[0, 0] == 0.0
+        assert t.finite.tolist() == [True, False, False]
+        lo, hi = interval_keys(t.columns)
+        np.testing.assert_array_equal(t.key_lo, lo)
+        np.testing.assert_array_equal(t.key_hi, hi)
+
     def test_ragged_raises(self):
         with pytest.raises(ValueError):
             LakeTable("t", [np.arange(5), np.ones(4)])

@@ -20,8 +20,13 @@ from repro.core.fcm import make_model
 from repro.bench.harness import FCMMethod
 from repro.core.data import LakeTable
 from repro.core.relevance import rel_scores
-from repro.lake.resident import balanced_partitions, resident_encodings, resident_repository
-from repro.lake import search
+from repro.lake.resident import (
+    balanced_partitions,
+    repository_fingerprint,
+    resident_encodings,
+    resident_repository,
+)
+from repro.lake import resident, search
 from repro.lake.search import _collect, ranked_topk, score_with_method, spark_ground_truth
 from tests.oracle import assert_equivalent
 
@@ -253,6 +258,34 @@ class TestLayout:
         assert balanced_partitions(shuffled, n) == groups
 
 
+class TestRepositoryFingerprint:
+    """The resident artefacts' content key: the lake's ids and values, not
+    the order of its dict."""
+
+    LAKE = {"a": LakeTable("a", [[1.0, 2.0], [3.0, 4.0]]), "b": LakeTable("b", [[5.0, -0.5]])}
+
+    def test_dict_order_does_not_change_it(self):
+        assert repository_fingerprint(dict(reversed(self.LAKE.items()))) == repository_fingerprint(
+            self.LAKE
+        )
+
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0)])
+    def test_any_changed_value_changes_it(self, cell):
+        cols = self.LAKE["a"].columns.copy()
+        cols[cell] = np.nextafter(cols[cell], np.inf)
+        assert repository_fingerprint({**self.LAKE, "a": LakeTable("a", cols)}) != repository_fingerprint(
+            self.LAKE
+        )
+
+    def test_a_changed_table_id_changes_it(self):
+        renamed = {**self.LAKE, "b": LakeTable("c", self.LAKE["b"].columns)}
+        assert repository_fingerprint(renamed) != repository_fingerprint(self.LAKE)
+
+    def test_the_same_values_in_another_shape_change_it(self):
+        flat = {**self.LAKE, "a": LakeTable("a", [[1.0, 2.0, 3.0, 4.0]])}
+        assert repository_fingerprint(flat) != repository_fingerprint(self.LAKE)
+
+
 class TestNoRequestLeftovers:
     """A request's payload leaves no broadcast file behind in the driver's
     temp directory, also above 1 MB, where PySpark would broadcast a task
@@ -286,7 +319,7 @@ class TestNoRequestLeftovers:
 
 SOUNDNESS = """
 import importlib, sys, zipfile, zipimport
-from repro.lake.search import _keep_zip_directory, _no_zip_rescan
+from repro.lake.resident import _keep_zip_directory, _no_zip_rescan
 
 def write_zip(path, *modules):
     with zipfile.ZipFile(path, "w") as z:
@@ -326,7 +359,7 @@ class TestNoZipRescan:
             import sys
             import zipimport
 
-            from repro.lake import search
+            from repro.lake import resident
 
             for _ in part:
                 pass
@@ -335,7 +368,7 @@ class TestNoZipRescan:
                 for path, importer in sys.path_importer_cache.items()
                 if isinstance(importer, zipimport.zipimporter)
             }
-            noop = zipimport.zipimporter.invalidate_caches is search._keep_zip_directory
+            noop = zipimport.zipimporter.invalidate_caches is resident._keep_zip_directory
             yield os.getpid(), noop, directories
 
         raw = resident_repository(spark, bench.repository)
@@ -348,7 +381,37 @@ class TestNoZipRescan:
         for pid, dirs in reused:
             # the set-up of the second task kept every directory it had read
             assert first[pid] and first[pid].items() <= dirs.items()
-        assert zipimport.zipimporter.invalidate_caches is search._zip_rescan
+        assert zipimport.zipimporter.invalidate_caches is resident._zip_rescan
+
+    def test_artefact_builds_skip_the_rescan(self, spark, bench):
+        """A worker whose only tasks since the original method was put back
+        were an artefact build's already has the no-op in place: the raw
+        build and the encoded build each call the hook first."""
+        sc = spark.sparkContext
+        n = 4 * sc.defaultParallelism
+
+        def restore(part):  # a plain stage, not through _collect: no hook
+            import os
+            import zipimport
+
+            from repro.lake import resident
+
+            noop = zipimport.zipimporter.invalidate_caches is resident._keep_zip_directory
+            zipimport.zipimporter.invalidate_caches = resident._zip_rescan
+            yield os.getpid(), noop
+
+        def patched_by(build) -> bool:
+            restored = {pid for pid, _ in sc.parallelize(range(n), n).mapPartitions(restore).collect()}
+            build()
+            after = sc.parallelize(range(n), n).mapPartitions(restore).collect()
+            return any(noop for pid, noop in after if pid in restored)
+
+        # a changed table, so both artefacts are built afresh
+        t = next(iter(bench.repository.values()))
+        lake = {**bench.repository, t.table_id: LakeTable(t.table_id, t.columns[:, ::-1])}
+        assert patched_by(lambda: resident_repository(spark, lake))
+        assert patched_by(lambda: resident_encodings(spark, lake, CML(bench.cfg.fcm)))
+        assert zipimport.zipimporter.invalidate_caches is resident._zip_rescan
 
     def test_archives_still_import(self, tmp_path):
         """In a fresh interpreter, so this one is never patched: after the
@@ -364,7 +427,7 @@ class TestNoZipRescan:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "ok"
-        assert zipimport.zipimporter.invalidate_caches is search._zip_rescan
+        assert zipimport.zipimporter.invalidate_caches is resident._zip_rescan
 
 
 class TestTopK:
