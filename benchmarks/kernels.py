@@ -1,11 +1,17 @@
 """Cost of the batched kernels against the scalar oracles in ``tests/``.
 
-Writes ``BENCH_kernels.json`` at the repository root.
+Writes ``BENCH_kernels.json`` at the repository root. The three DTW
+sections go under ``dtw[<label>]``, one entry per source tree; entries of
+other labels already in the file are kept, so a before/after pair is two
+runs, one from each tree. The other sections hold the last run's figures.
 
 * ``kernel``: for each of the benchmark's DTW shapes (series length ×
   column length after resampling to 128, band 16) it times the scalar
   oracle of ``tests/test_dtw.py`` and ``dtw_distances`` at stack sizes 1,
   9 and ``STACK_PAIRS``, and checks the two agree bit for bit.
+* ``stack_curve``: ``dtw_distances`` µs per pair at 128×128, band 16, for
+  stacks of 64 to 4096 pairs: where the per-pair cost stops falling,
+  which is what ``STACK_PAIRS`` is chosen from.
 * ``ground_truth``: the tiny benchmark's local ground truth both ways
   (``rel_scores`` in one call, and the oracle one (query, table) pair at
   a time), with identical rankings required.
@@ -28,12 +34,14 @@ Writes ``BENCH_kernels.json`` at the repository root.
   ``QetchStar.encode_table`` ms per table, all tiny-benchmark queries ×
   all tables, with whether every score is ``==`` the oracle's.
 
-Run from the repository root (about three minutes on 4 cores):
+Run from the root of the source tree to time (about three minutes on 4
+cores); ``--label`` names its ``dtw`` entry:
 
-    PYTHONPATH=src python benchmarks/kernels.py
+    PYTHONPATH=src python benchmarks/kernels.py --label change
 """
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -63,6 +71,7 @@ from tests.test_relevance import rel_reference  # noqa: E402
 BAND = 16
 SHAPES = [(128, 128), (80, 128), (40, 128), (20, 128), (10, 128)]
 STACKS = [1, 9, STACK_PAIRS]
+STACK_CURVE = [64, 128, 256, 512, 1024, 2048, 4096]
 SCALAR_PAIRS = 9
 REPEATS = 5
 
@@ -101,6 +110,16 @@ def kernel_rows(rng: np.random.Generator) -> list[dict]:
         )
         print(rows[-1], flush=True)
     return rows
+
+
+def stack_curve(rng: np.random.Generator) -> dict:
+    a = np.cumsum(rng.standard_normal((STACK_CURVE[-1], 128)), axis=1)
+    b = np.cumsum(rng.standard_normal((STACK_CURVE[-1], 128)), axis=1)
+    us = {
+        str(p): round(1e6 * _median_s(lambda: dtw_distances(a[:p], b[:p], band=BAND)) / p, 1)
+        for p in STACK_CURVE
+    }
+    return {"shape": "128x128", "kernel_us_per_pair": us}
 
 
 def _topk(tids: list[str], scores, k: int) -> list[list[str]]:
@@ -229,12 +248,30 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def main(seed: int = 13) -> None:
+def main(label: str, seed: int = 13) -> None:
+    path = os.path.join(ROOT, "BENCH_kernels.json")
+    runs = {}
+    if os.path.exists(path):
+        with open(path) as f:
+            runs = json.load(f).get("dtw", {})
     bench = build_benchmark(tiny_benchmark_config(seed=seed))
     model = make_model(bench.cfg.fcm)
+    hardware = {
+        "cpu": _cpu_model(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    runs[label] = {
+        "hardware": hardware,
+        "kernel": kernel_rows(np.random.default_rng(0)),
+        "stack_curve": stack_curve(np.random.default_rng(1)),
+        "ground_truth": ground_truth_row(bench),
+    }
     out = {
-        "what": "DTW kernel us per (series, column) pair vs the scalar oracle; "
-        "tiny-benchmark local ground truth, batched vs one pair at a time; "
+        "what": "dtw: per source tree, DTW kernel us per (series, column) pair vs "
+        "the scalar oracle, by shape and by stack size, and the tiny-benchmark "
+        "local ground truth, batched vs one pair at a time; "
         "dataset encoder ms per table and HCMAN matcher ms per (query, table) "
         "pair, stacked vs the per-column / per-variant oracles; Qetch* ms per "
         "(query, table) pair over window stacks built once per table vs the "
@@ -244,24 +281,22 @@ def main(seed: int = 13) -> None:
         "stack_pairs": STACKS,
         "timing": f"median of {REPEATS} runs; scalar DTW over {SCALAR_PAIRS} pairs; "
         "encoder, matcher and Qetch* oracles one run",
-        "hardware": {
-            "cpu": _cpu_model(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "kernel": kernel_rows(np.random.default_rng(0)),
-        "ground_truth": ground_truth_row(bench),
+        "hardware": hardware,
+        "dtw": runs,
         "encoder": encoder_row(bench, model),
         "matcher": matcher_row(bench, model),
         "qetch": qetch_row(bench),
     }
-    for key in ("ground_truth", "encoder", "matcher", "qetch"):
+    print("stack_curve", runs[label]["stack_curve"], flush=True)
+    print("ground_truth", runs[label]["ground_truth"], flush=True)
+    for key in ("encoder", "matcher", "qetch"):
         print(key, out[key], flush=True)
-    with open(os.path.join(ROOT, "BENCH_kernels.json"), "w") as f:
+    with open(path, "w") as f:
         json.dump(out, f, indent=2)
         f.write("\n")
 
 
 if __name__ == "__main__":
-    main()
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--label", required=True, help="dtw entry name, e.g. parent or change")
+    main(p.parse_args().label)

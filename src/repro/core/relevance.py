@@ -16,11 +16,13 @@ import numpy as np
 
 from repro.core.bipartite import mean_matching
 from repro.core.data import LakeTable
-from repro.core.dtw import dtw_distances, fit_length
+from repro.core.dtw import dtw_distances, fit_lengths
 
-#: (series, column) pairs per DTW kernel call. Per-pair cost stops
-#: falling at a few hundred pairs; at ``max_len`` 128 a stack of this
-#: many pairs holds about 4 MB.
+#: (series, column) pairs per DTW kernel call. At 128 x 128, band 16,
+#: per-pair cost falls 2.7x from 64 to 512 pairs, stays within 3% of
+#: that up to 2048 and is 1.6x higher at 4096 (``BENCH_kernels.json``,
+#: ``stack_curve``); at ``max_len`` 128 a stack of this many pairs holds
+#: about 4 MB.
 STACK_PAIRS = 512
 #: Sakoe-Chiba band and series length cap of the ground truth's DTW
 GT_BAND = 16
@@ -37,12 +39,12 @@ def _rel_weights(
 ) -> np.ndarray:
     """rel(s, c) for every ``keep[s, c]`` pair; the rest stay 0.0.
 
-    Each series and column is resampled once. Pairs are grouped by
-    (len_a, len_b) and each shape goes through the kernel in stacks of
-    :data:`STACK_PAIRS`.
+    Each series and column is resampled once, each equal-length group
+    in one call. Pairs are grouped by (len_a, len_b) and each shape goes
+    through the kernel in stacks of :data:`STACK_PAIRS`.
     """
-    series = [fit_length(s, max_len) for s in series]
-    columns = [fit_length(c, max_len) for c in columns]
+    series = fit_lengths(series, max_len)
+    columns = fit_lengths(columns, max_len)
     rel = np.zeros((len(series), len(columns)))
     s_len = np.array([s.size for s in series])
     c_len = np.array([c.size for c in columns])

@@ -1,7 +1,9 @@
 """Tests for repro.core.dtw (banded DTW + resampling).
 
-``dtw_reference`` is the scalar recurrence the stacked kernel replaced.
-It is kept here as the oracle: the kernel must agree with it bit for bit.
+``dtw_reference`` is the scalar recurrence, one pair and one cell at a
+time along each row. It is kept here as the oracle: the kernel, which
+sweeps the anti-diagonals of a whole stack, must agree with it bit for
+bit.
 ``dtw_distance`` runs the kernel on one pair (a stack of one) and
 ``dtw_relevance`` is the paper's ``rel(d, C)`` of that pair.
 """
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.dtw import dtw_distances, fit_length, resample
+from repro.core.dtw import dtw_distances, fit_lengths, resample
+from repro.core.relevance import STACK_PAIRS
 
 
 def dtw_reference(a, b, *, band=None, max_len=128):
@@ -61,7 +64,7 @@ def dtw_distance(
     ``max_len``: if set, a series longer than this is resampled down to
     it first (keeps repository sweeps tractable).
     """
-    a, b = fit_length(a, max_len), fit_length(b, max_len)
+    a, b = fit_lengths([a, b], max_len)
     return float(dtw_distances(a[None], b[None], band=band)[0])
 
 
@@ -129,6 +132,31 @@ class TestResample:
             )
             np.testing.assert_array_equal(out, want)
             np.testing.assert_array_equal(resample(row, n), want)
+
+
+class TestFitLengths:
+    def test_groups_are_resampled_as_each_series_alone(self):
+        """Equal-length series share one ``resample`` call; each comes out
+        as it would alone, and a series with a bad value keeps its length."""
+        rng = np.random.default_rng(8)
+        series = [rng.standard_normal(z) for z in (160, 80, 160, 128, 5, 160, 300)]
+        series[2][40] = np.nan
+        series[5][0] = -np.inf
+        got = fit_lengths(series, 128)
+        for s, g in zip(series, got):
+            if s.size > 128 and np.isfinite(s).all():
+                np.testing.assert_array_equal(g, resample(s, 128))
+            else:
+                np.testing.assert_array_equal(g, s)
+        assert [g.size for g in got] == [128, 80, 160, 128, 5, 160, 128]
+
+    def test_no_cap_keeps_every_length(self):
+        series = [np.arange(3), np.ones((2, 2))]
+        assert [g.tolist() for g in fit_lengths(series, None)] == [[0, 1, 2], [1, 1, 1, 1]]
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            fit_lengths([np.ones(3), np.array([])], 128)
 
 
 class TestDTWDistance:
@@ -263,16 +291,42 @@ class TestKernelMatchesReference:
         out = dtw_distances(a, b, band=band)
         assert dtw_distances(a[perm], b[perm], band=band).tolist() == out[perm].tolist()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bit_identical_any_band(self, data):
+        a, b = data.draw(_stacks())
+        band = data.draw(st.integers(0, max(a.shape[1], b.shape[1])))
+        got = dtw_distances(a, b, band=band)
+        want = [dtw_reference(x, y, band=band, max_len=None) for x, y in zip(a, b)]
+        assert got.tolist() == want
+
     @pytest.mark.parametrize(
-        "n,m", [(128, 128), (80, 128), (10, 128), (200, 1), (1, 200), (200, 199)]
+        "n,m",
+        [(128, 128), (80, 128), (40, 128), (20, 128), (10, 128), (200, 1), (1, 200), (200, 199)],
     )
-    @pytest.mark.parametrize("band", [None, 16])
+    @pytest.mark.parametrize("band", [None, 0, 1, 2, 16])
     def test_bench_and_extreme_shapes(self, n, m, band):
         rng = np.random.default_rng(n * 1000 + m)
         a = np.cumsum(rng.standard_normal((5, n)), axis=1)
         b = np.cumsum(rng.standard_normal((5, m)), axis=1)
         want = [dtw_reference(x, y, band=band, max_len=None) for x, y in zip(a, b)]
         assert dtw_distances(a, b, band=band).tolist() == want
+
+    def test_long_stack_with_non_finite_rows(self):
+        """More pairs than a ``rel_scores`` stack, NaN and ±inf rows
+        interleaved in both stacks: every finite pair is the oracle's."""
+        rng = np.random.default_rng(7)
+        p = STACK_PAIRS + 37
+        a = np.cumsum(rng.standard_normal((p, 30)), axis=1)
+        b = np.cumsum(rng.standard_normal((p, 37)), axis=1)
+        bad = [np.nan, np.inf, -np.inf]
+        for k, row in enumerate(range(3, p, 11)):
+            (a if k % 2 else b)[row, k % 7] = bad[k % 3]
+        finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+        got = dtw_distances(a, b, band=4)
+        assert (got[~finite] == np.inf).all() and (~finite).sum() == len(range(3, p, 11))
+        want = [dtw_reference(x, y, band=4, max_len=None) for x, y in zip(a[finite], b[finite])]
+        assert got[finite].tolist() == want
 
     def test_length_one(self):
         a, b = np.array([[3.0]]), np.array([[1.0, 5.0, 2.0]])
@@ -296,5 +350,5 @@ class TestNonFinite:
     def test_resampling_cannot_hide_a_bad_value(self):
         a = np.linspace(0.0, 1.0, 1000)
         a[500] = np.nan
-        assert np.isnan(fit_length(a, 128)).any()
+        assert np.isnan(fit_lengths([a], 128)[0]).any()
         assert dtw_distance(a, np.ones(50), max_len=128) == np.inf

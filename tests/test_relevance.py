@@ -160,6 +160,23 @@ class TestRelScores:
         # the clean table is untouched by the rule
         assert rel[0, 0] == rel_reference(data[0], clean) > 0.0
 
+    def test_equals_oracle_at_perfbench_shapes(self, rng):
+        """160-row columns (resampled to 128), plain 160-point series and
+        data-aggregation series of 80, 40, 20 and 10 points: every
+        Rel(D, T) is the one-pair-at-a-time oracle's."""
+        def walks(n, count):
+            return list(np.cumsum(rng.standard_normal((count, n)), axis=1))
+
+        datas = [walks(160, 2), walks(80, 1), walks(40, 2), walks(20, 1), walks(10, 3)]
+        tables = [LakeTable(f"t{m}", walks(160, m)) for m in (1, 3, 6)]
+        dirty = walks(160, 3)
+        dirty[1][99] = np.nan
+        tables.append(LakeTable("dirty", dirty))
+        rel = rel_scores(datas, tables)
+        want = [[rel_reference(d, t) for t in tables] for d in datas]
+        assert rel.tolist() == want
+        assert (rel > 0.0).all()
+
     def test_non_finite_series_scores_zero(self, rng):
         series = rng.random(50)
         series[3] = np.nan
