@@ -150,7 +150,7 @@ def measure(spark, repository, queries, k: int) -> dict:
     }
     out["noop_raw_s"], raw_tasks = timed(lambda: noop_job(spark, resident_repository(spark, repository)))
     out["noop_encoded_s"], enc_tasks = timed(
-        lambda: noop_job(spark, resident_encodings(spark, repository, method))
+        lambda: noop_job(spark, resident_encodings(spark, repository, method.encode_table))
     )
     out["scan_s"], _ = timed(
         lambda: ranked_topk(score_with_method(spark, repository, batch, method), k)

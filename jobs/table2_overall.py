@@ -51,7 +51,10 @@ def run(spark, bench) -> dict:
         FCMMethod(trained_fcm(bench, variant="no_hcman")[0], name="FCM-HCMAN"),
         FCMMethod(trained_fcm(bench, variant="no_da")[0], name="FCM-DA"),
     ]
-    runs = {m.name: run_method(spark, bench, m) for m in methods}
+    runs = {}
+    for m in methods:
+        runs[m.name] = run_method(spark, bench, m)
+        print(f"[table2] seconds {m.name}: {runs[m.name].seconds}", flush=True)
     five = {name: runs[name] for name in METHOD_ORDER}
     got = {
         "II": by_method(five, bench, da_split_metrics, "table2"),

@@ -29,6 +29,7 @@ def run(spark, bench, *, n_negs=N_NEG_VALUES, strategies=STRATEGIES) -> dict:
         if (n_neg, strategy) not in scored:
             model, result = trained_fcm(bench, n_neg=n_neg, strategy=strategy)
             mr = run_method(spark, sub, FCMMethod(model, name=f"FCM[N-={n_neg},{strategy}]"))
+            print(f"[table9] seconds {mr.method}: {mr.seconds}", flush=True)
             scored[(n_neg, strategy)] = {
                 **overall_metrics(mr, sub), "converged_epoch": result.converged_epoch
             }

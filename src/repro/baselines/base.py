@@ -4,7 +4,7 @@ Every retrieval method — FCM variants and all baselines — implements:
 
 * ``prepare_query(extracted)``: one-off query-side preprocessing;
 * ``encode_table(table)``: repository-side encoding (done once per table
-  for a lake and method state, and kept resident in Spark:
+  for a lake and encoder state, and kept resident in Spark:
   ``repro.lake.resident``);
 * ``score(query_prep, table_enc)``: the relevance estimate Rel'(V, T).
 
@@ -14,8 +14,8 @@ too) and gives a table with none 0.0, as FCM does, so a NaN or ±inf cell
 never reaches a score.
 
 Instances must be picklable (numpy only) so the harness can broadcast
-them to executors; their pickle also keys the resident encodings, and so
-must change whenever ``encode_table``'s output would.
+them to executors. The pickle of ``encode_table`` keys the resident
+encodings, so it must change whenever that function's output would.
 """
 from __future__ import annotations
 

@@ -23,26 +23,24 @@ from repro.bench.metrics import ndcg_at_k, prec_at_k
 from repro.bench.plotly_lite import m_bucket_label, window_bucket_label
 from repro.chartsim.extractor import ExtractedQuery
 from repro.config import BenchmarkConfig
-from repro.core.data import LakeTable
 from repro.core.fcm import FCMModel, make_model
 from repro.core.train import EPOCHS, N_NEG, STRATEGY, Triplet, train_model
 from repro.lake.search import ranked_topk, score_with_method
 
 
 class FCMMethod(Method):
-    """Method-protocol adapter around an FCMModel variant."""
+    """Method-protocol adapter around an FCMModel variant. It encodes with the
+    model's ``DatasetEncoder``, whose pickle alone keys the resident encodings."""
 
     def __init__(self, model: FCMModel, name: str | None = None) -> None:
         self.model = model
+        self.encode_table = model.dataset_encoder.encode_table
         self.name = name or {"full": "FCM", "no_hcman": "FCM-HCMAN", "no_da": "FCM-DA"}[
             model.variant
         ]
 
     def prepare_query(self, eq: ExtractedQuery):
         return self.model.encode_query(eq)
-
-    def encode_table(self, table: LakeTable):
-        return self.model.encode_table(table)
 
     def score(self, query_prep, table_enc) -> float:
         return self.model.score(query_prep, table_enc)
@@ -131,7 +129,7 @@ def train_fcm(
 class MethodRun:
     method: str
     rankings: dict[str, list[str]]        # query_id -> ranked table ids
-    seconds: float                        # wall time of the scoring stage
+    seconds: float                        # scoring stage wall time, with any encode it built
     n_pairs: int                          # (query, table) pairs scored
 
 

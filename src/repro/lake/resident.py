@@ -17,8 +17,8 @@ use RDDs were designed for: interactive queries over a cached working set
   partition's raw tables again. The cost: a lost block fails the job
   instead of being recomputed, which with ``MEMORY_AND_DISK`` in local
   mode happens only if the driver dies;
-* the encoded repository: ``(table_id, method.encode_table(table))`` for
-  every table of the raw one, in the same partitions.
+* the encoded repository: ``(table_id, encode(table))`` for every table
+  of the raw one, in the same partitions.
 
 A request is one ``mapPartitions`` stage over one of them: each task
 reads its partition's pickled tables straight into its Python function,
@@ -26,11 +26,12 @@ with no Arrow decode or shuffle.
 
 The raw artefact is keyed by the session's ``applicationId`` and a
 content fingerprint of the repository (:func:`repository_fingerprint`);
-the encoded one also by a sha256 of the pickled method, so a retrained
-head or another method re-encodes. A persisted RDD is therefore never
-served for other lake contents, another method or another session. When
-a key changes, the RDD it replaces is unpersisted: at most one raw and
-one encoded artefact stay resident.
+the encoded one also by a sha256 of the pickled ``encode``, a method's
+``encode_table``: for FCM that pickles only its ``DatasetEncoder``, which
+every trained head and FCM-HCMAN share. A persisted RDD is never served
+for other lake contents, another encoding or another session. When a key
+changes, the RDD it replaces is unpersisted: at most one raw and one
+encoded artefact stay resident.
 """
 from __future__ import annotations
 
@@ -144,14 +145,11 @@ def resident_repository(spark: SparkSession, tables: dict[str, LakeTable]) -> RD
     return _resident(spark, "raw", (repository_fingerprint(tables),), build)
 
 
-def resident_encodings(spark: SparkSession, tables: dict[str, LakeTable], method) -> RDD:
+def resident_encodings(spark: SparkSession, tables: dict[str, LakeTable], encode: Callable) -> RDD:
     """The persisted ``(table_id, encoding)`` RDD: every table encoded once
-    by ``method.encode_table`` (the offline step of Sec. VI)."""
-    fingerprint = repository_fingerprint(tables)
-    method_key = hashlib.sha256(pickle.dumps(method)).hexdigest()
+    by ``encode`` (the offline step of Sec. VI)."""
+    encode_key = hashlib.sha256(pickle.dumps(encode)).hexdigest()
     return _resident(
-        spark, "encoded", (fingerprint, method_key),
-        lambda: resident_repository(spark, tables).map(
-            _shipped(lambda t: (t.table_id, method.encode_table(t)))
-        ),
+        spark, "encoded", (repository_fingerprint(tables), encode_key),
+        lambda: resident_repository(spark, tables).map(_shipped(lambda t: (t.table_id, encode(t)))),
     )

@@ -5,7 +5,7 @@ over a resident RDD of whole tables (``repro.lake.resident``), one task
 per core, whose payload (queries, method, candidate sets) travels as one
 broadcast that is destroyed once the rows are collected.
 :func:`score_with_method` reads each table's encoding, made once per lake
-and method, and scores it against *all* queries, skipping the pairs index
+and encoder, and scores it against *all* queries, skipping the pairs index
 pruning left out. :func:`spark_ground_truth` scores Rel(D, T) over the
 raw tables. Both collect their ``(query_id, table_id, score)`` rows and
 rank them on the driver with :func:`repro.bench.metrics.top_k`, the
@@ -105,14 +105,14 @@ def score_with_method(
     """Score every (query, table) pair with ``method``.
 
     Tables are read already encoded from the resident artefact
-    (:func:`resident_encodings`; the first call for a lake and method
+    (:func:`resident_encodings`; the first call for a lake and encoder
     builds it), so a request only scores. ``candidates`` optionally
     restricts scoring per query (index pruning, Sec. VI-A): a pair whose
     table_id is absent from its query's candidate set is not scored.
     Returns the collected rows as a DataFrame (query_id, table_id, score)
     made through Arrow, so reading it starts no Python worker.
     """
-    encoded = resident_encodings(spark, repository, method)
+    encoded = resident_encodings(spark, repository, method.encode_table)
     preps = [(q.query_id, method.prepare_query(q.extracted)) for q in queries]
     rows = _collect(spark, encoded, _method_rows, (method, preps, candidates))
     columns = zip(*rows) if rows else ([], [], [])

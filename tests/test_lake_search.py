@@ -110,8 +110,8 @@ def persisted_rdds(spark) -> int:
 
 
 class TestResidentLake:
-    """The resident artefacts are keyed by content, method and session, and
-    at most one raw and one encoded repository stay persisted."""
+    """The resident artefacts are keyed by content, encoder state and
+    session, and at most one raw and one encoded repository stay persisted."""
 
     def test_changed_values_give_new_scores(self, spark, bench):
         tids = sorted(bench.repository)[:4]
@@ -126,22 +126,41 @@ class TestResidentLake:
         for (qid, tid), score in after.items():
             assert (score != before[(qid, tid)]) == (tid == tids[0])
 
-    @pytest.mark.parametrize("which", ["fcm_head", "cml_projector"])
+    @pytest.mark.parametrize("which", ["fcm_head", "fcm_encoder", "cml_projector"])
     def test_changed_method_state_reencodes(self, spark, bench, which):
+        """A change to what ``encode_table`` reads re-encodes and unpersists
+        the old artefact; a retrained head, which no encoding reads, keeps it."""
         lake = {tid: bench.repository[tid] for tid in sorted(bench.repository)[:4]}
-        m = FCMMethod(make_model(bench.cfg.fcm)) if which == "fcm_head" else CML(bench.cfg.fcm)
+        m = CML(bench.cfg.fcm) if which == "cml_projector" else FCMMethod(make_model(bench.cfg.fcm))
         before = collect_scores(score_with_method(spark, lake, bench.queries, m))
-        old = resident_encodings(spark, lake, m)
+        old = resident_encodings(spark, lake, m.encode_table)
         # retrain in place: the same object, new state
         if which == "fcm_head":
             m.model.head.w = m.model.head.w + 0.5
+        elif which == "fcm_encoder":
+            m.model.dataset_encoder.projector.w = m.model.dataset_encoder.projector.w * -1.5
         else:
             m.projector.w *= -1.5
         after = collect_scores(score_with_method(spark, lake, bench.queries, m))
-        assert resident_encodings(spark, lake, m) is not old
-        assert old.getStorageLevel() == StorageLevel.NONE
+        kept = which == "fcm_head"
+        assert (resident_encodings(spark, lake, m.encode_table) is old) == kept
+        assert old.getStorageLevel() == (StorageLevel.MEMORY_AND_DISK if kept else StorageLevel.NONE)
         assert after == driver_scores(m, lake, bench.queries)
         assert after != before
+
+    def test_fcm_variants_share_one_encoding(self, spark, bench):
+        """FCM and FCM-HCMAN on one config encode with equal encoders, so the
+        ablation reads the artefact FCM built; FCM-DA's encoder has no DA
+        layers and builds its own. Each scores as on the driver."""
+        lake = {tid: bench.repository[tid] for tid in sorted(bench.repository)[:4]}
+        built = {}
+        for variant in ("full", "no_hcman", "no_da"):
+            m = FCMMethod(make_model(bench.cfg.fcm, variant))
+            scores = collect_scores(score_with_method(spark, lake, bench.queries, m))
+            assert scores == driver_scores(m, lake, bench.queries)
+            built[variant] = resident_encodings(spark, lake, m.encode_table)
+        assert built["no_hcman"] is built["full"]
+        assert built["no_da"] is not built["full"]
 
     def test_residency_bounded(self, spark, bench):
         tids = sorted(bench.repository)
@@ -150,7 +169,9 @@ class TestResidentLake:
         for lo in (0, 5, 10):
             lake = {tid: bench.repository[tid] for tid in tids[lo:lo + 5]}
             score_with_method(spark, lake, bench.queries[:1], m).count()
-            held.append((resident_repository(spark, lake), resident_encodings(spark, lake, m)))
+            held.append(
+                (resident_repository(spark, lake), resident_encodings(spark, lake, m.encode_table))
+            )
             base = persisted_rdds(spark) if base is None else base
             assert persisted_rdds(spark) == base
         *old, last = held
@@ -189,7 +210,7 @@ class TestResidentLake:
         """Tasks over either artefact no longer carry the raw tables that a
         ``parallelize`` partition holds, and the blocks still spill to disk."""
         raw = resident_repository(spark, bench.repository)
-        enc = resident_encodings(spark, bench.repository, CML(bench.cfg.fcm))
+        enc = resident_encodings(spark, bench.repository, CML(bench.cfg.fcm).encode_table)
         for rdd in (raw, enc):
             assert b"ParallelCollectionRDD" not in rdd.toDebugString()
             assert rdd.getStorageLevel() == StorageLevel.MEMORY_AND_DISK
@@ -233,13 +254,15 @@ class TestLayout:
         assert sorted((tid, j, b) for tid, j, _, b in placed) == want
         raw = partition_tables(resident_repository(spark, bench.repository))
         m = CML(bench.cfg.fcm)
-        enc = partition_tables(resident_encodings(spark, bench.repository, m), key=lambda p: p[0])
+        enc = partition_tables(
+            resident_encodings(spark, bench.repository, m.encode_table), key=lambda p: p[0]
+        )
         assert enc == raw
 
     def test_partition_count_is_default_parallelism(self, spark, bench):
         n = spark.sparkContext.defaultParallelism
         assert resident_repository(spark, bench.repository).getNumPartitions() == n
-        enc = resident_encodings(spark, bench.repository, CML(bench.cfg.fcm))
+        enc = resident_encodings(spark, bench.repository, CML(bench.cfg.fcm).encode_table)
         assert enc.getNumPartitions() == n
 
     def test_split_is_the_driver_split(self, spark, bench):
@@ -410,7 +433,7 @@ class TestNoZipRescan:
         t = next(iter(bench.repository.values()))
         lake = {**bench.repository, t.table_id: LakeTable(t.table_id, t.columns[:, ::-1])}
         assert patched_by(lambda: resident_repository(spark, lake))
-        assert patched_by(lambda: resident_encodings(spark, lake, CML(bench.cfg.fcm)))
+        assert patched_by(lambda: resident_encodings(spark, lake, CML(bench.cfg.fcm).encode_table))
         assert zipimport.zipimporter.invalidate_caches is resident._zip_rescan
 
     def test_archives_still_import(self, tmp_path):
